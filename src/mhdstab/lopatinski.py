@@ -22,7 +22,10 @@ Shock problems are folded to one side by reflection.  A planar shock with
 upstream (left, x_d < 0) and downstream (right, x_d > 0) states in the
 shock frame gives the doubled generator diag(G_right, -G_left) acting on
 the stacked trace (U_right(0), U_left(0)); decay at both infinities selects
-E_minus(G_right) + E_plus(G_left).  The linearized jump conditions are
+E_minus(G_right) (+) E_plus(G_left), split per side: E_plus(G_left) =
+E_minus(-G_left), continued at gamma_L = 0 along the signed inverse
+-A_d^{-1} (the right side uses +A_d^{-1}).  For a fast shock the upstream
+block is 8x0.  The linearized jump conditions are
 
     N_right u_right - N_left u_left - psi_hat * b_f = 0,
 
@@ -221,15 +224,29 @@ def assemble_G(state: ThermoState, eos: EquationOfState, d: int,
     Raises CharacteristicBoundary when |det A_d| falls below the
     scale-relative threshold.
     """
-    A_d, ok = boundary_matrix(state, eos, d, tol_det=tol_det)
-    if not ok:
-        raise CharacteristicBoundary(f"boundary x_{d} = const is characteristic")
-    t1, t2 = _tangential_axes(d)
-    A_t1 = assemble_full_symbol(state, eos, unit_vector(t1))
-    A_t2 = assemble_full_symbol(state, eos, unit_vector(t2))
-    rhs = ((zf.tau - 1j * zf.gamma_L) * np.eye(8)
-           + zf.eta[0] * A_t1 + zf.eta[1] * A_t2)
-    return np.linalg.solve(A_d, rhs)
+    return _Side(state, eos, d, tol_det).G(zf)
+
+
+class _Side:
+    """One side's reduced symbol s G, kept as its three coefficients in zeta
+    (s A_d^{-1} is also the continuation matrix), and dim = dim E_minus(s G),
+    the number of positive eigenvalues of s A_d.  s = -1 reflects a shock's
+    upstream side."""
+
+    def __init__(self, state: ThermoState, eos: EquationOfState, d: int,
+                 tol_det: float, sign: float = 1.0, where: str = "boundary"):
+        A_d, ok = boundary_matrix(state, eos, d, tol_det=tol_det)
+        if not ok:
+            raise CharacteristicBoundary(f"{where} x_{d} = const is characteristic")
+        self.a_d_inv = sign * np.linalg.inv(A_d)
+        self.a_t1, self.a_t2 = (
+            self.a_d_inv @ assemble_full_symbol(state, eos, unit_vector(t))
+            for t in _tangential_axes(d))
+        self.dim = int(np.sum(sign * np.linalg.eigvals(A_d).real > 0.0))
+
+    def G(self, zf: BoundaryFrequency) -> np.ndarray:
+        return ((zf.tau - 1j * zf.gamma_L) * self.a_d_inv
+                + zf.eta[0] * self.a_t1 + zf.eta[1] * self.a_t2)
 
 
 def _tangential_axes(d: int) -> tuple[int, int]:
@@ -310,12 +327,18 @@ class BoundaryOperator:
 
     def kernel_basis(self, zf: BoundaryFrequency | None = None) -> np.ndarray:
         """Orthonormal basis of ker M; raises RankDeficiency if rank < p."""
-        M = self.matrix(zf)
-        _, s, vh = np.linalg.svd(M)
-        if s.size and s[-1] <= 1e-10 * max(s[0], 1e-300):
-            raise RankDeficiency(
-                f"boundary operator rank-deficient: singular values {s}")
+        vh = _right_singular_rows(self.matrix(zf), full_matrices=True)
         return vh[self.p:, :].conj().T
+
+
+def _right_singular_rows(M: np.ndarray, full_matrices: bool) -> np.ndarray:
+    """V^H of the SVD M = U S V^H: its first p rows span range(M^H), the rest
+    (full_matrices only) span ker M.  Raises RankDeficiency if rank M < p."""
+    _, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
+    if s.size and s[-1] <= 1e-10 * max(s[0], 1e-300):
+        raise RankDeficiency(
+            f"boundary operator rank-deficient: singular values {s}")
+    return vh
 
 
 @dataclass(frozen=True)
@@ -324,7 +347,6 @@ class LopatinskiResult:
 
     E_minus: np.ndarray
     k: int
-    D: complex
     abs_D: float
     diagnostics: dict
 
@@ -333,11 +355,12 @@ def lopatinski_det(E_minus: np.ndarray, M: BoundaryOperator,
                    zf: BoundaryFrequency | None = None) -> LopatinskiResult:
     """det(E_minus, ker M) from orthonormal bases of both subspaces.
 
-    |D| is the QR-based value |prod r_ii| of the square matrix
-    [E_minus | ker M]; the Gram route sqrt(prod(1 - s_i^2)) over the
-    singular values of E_minus^H K is computed as an independent check and
+    The reference evaluation: |D| is the QR-based value |prod r_ii| of the
+    square matrix [E_minus | ker M]; the Gram route sqrt(prod(1 - s_i^2))
+    over the singular values of E_minus^H K is an independent check
     reported in the diagnostics.  |D| = 0 iff the subspaces intersect,
-    |D| = 1 iff they are orthogonal complements.
+    |D| = 1 iff they are orthogonal complements.  Scans use |det(V E_minus)|
+    with V an orthonormal basis of range(M^H), equal for orthonormal bases.
     """
     E = np.asarray(E_minus, dtype=complex)
     K = M.kernel_basis(zf)
@@ -346,7 +369,6 @@ def lopatinski_det(E_minus: np.ndarray, M: BoundaryOperator,
         raise DimensionMismatch(
             f"dim E_minus ({k}) + dim ker M ({K.shape[1]}) != {n}")
     F = np.hstack([E, K])
-    D = complex(np.linalg.det(F))
     r = np.linalg.qr(F, mode="r")
     abs_qr = float(np.prod(np.abs(np.diag(r))))
     cross = E.conj().T @ K
@@ -355,7 +377,6 @@ def lopatinski_det(E_minus: np.ndarray, M: BoundaryOperator,
     return LopatinskiResult(
         E_minus=E,
         k=k,
-        D=D,
         abs_D=min(abs_qr, 1.0),
         diagnostics={"abs_D_qr": abs_qr, "abs_D_gram": abs_gram,
                      "algorithm_disagreement": abs(abs_qr - abs_gram)},
@@ -412,39 +433,25 @@ class ScanResult:
 
 
 class _ScanProblem:
-    """Internal bundle: G(zf), continuation matrix, expected dim, operator."""
+    """Internal bundle: the sides, whose traces stack in order, and the
+    operator.  G_of and a_d_inv are the direct sums over the sides."""
 
-    def __init__(self, n, G_of, a_d_inv, expected_dim, operator, grid_info):
-        self.n = n
-        self.G_of = G_of
-        self.a_d_inv = a_d_inv
-        self.expected_dim = expected_dim
+    def __init__(self, sides, operator: BoundaryOperator):
+        self.sides = sides
         self.operator = operator
-        self.grid_info = grid_info
+        self.expected_dim = sum(side.dim for side in sides)
 
+    @property
+    def a_d_inv(self) -> np.ndarray:
+        return scipy.linalg.block_diag(*[side.a_d_inv for side in self.sides])
 
-def _count_signs(A: np.ndarray) -> tuple[int, int]:
-    evs = np.linalg.eigvals(A).real
-    return int(np.sum(evs > 0.0)), int(np.sum(evs < 0.0))
+    def G_of(self, zf: BoundaryFrequency) -> np.ndarray:
+        return scipy.linalg.block_diag(*[side.G(zf) for side in self.sides])
 
 
 def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
-    A_d, ok = boundary_matrix(state, eos, d, tol_det=tol_det)
-    if not ok:
-        raise CharacteristicBoundary(f"boundary x_{d} = const is characteristic")
-    a_d_inv = np.linalg.inv(A_d)
-    t1, t2 = _tangential_axes(d)
-    A_t1 = assemble_full_symbol(state, eos, unit_vector(t1))
-    A_t2 = assemble_full_symbol(state, eos, unit_vector(t2))
-    eye = np.eye(8)
-
-    def G_of(zf: BoundaryFrequency) -> np.ndarray:
-        return a_d_inv @ ((zf.tau - 1j * zf.gamma_L) * eye
-                          + zf.eta[0] * A_t1 + zf.eta[1] * A_t2)
-
-    n_pos, _ = _count_signs(A_d)
     operator = M if isinstance(M, BoundaryOperator) else BoundaryOperator.from_matrix(M)
-    return _ScanProblem(8, G_of, a_d_inv, n_pos, operator, {})
+    return _ScanProblem((_Side(state, eos, d, tol_det),), operator)
 
 
 def _scan(problem: _ScanProblem, grid, eps_cont: float,
@@ -457,14 +464,24 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
     argmin = None
 
     def evaluate(zf: BoundaryFrequency) -> tuple[float, int]:
-        G = problem.G_of(zf)
-        E = stable_subspace(G, zf.gamma_L, a_d_inv=problem.a_d_inv,
-                            eps_cont=eps_cont)
-        dim = E.shape[1]
-        if zf.gamma_L > 0.0 and dim != problem.expected_dim:
-            raise SpectralSplitFailure(
-                f"dim E_minus = {dim}, expected {problem.expected_dim}")
-        return lopatinski_det(E, problem.operator, zf).abs_D, dim
+        bases = []
+        for i, side in enumerate(problem.sides):
+            E = stable_subspace(side.G(zf), zf.gamma_L, a_d_inv=side.a_d_inv,
+                                eps_cont=eps_cont)
+            # checked at continuation points too: a shift of the wrong sign
+            # shows there as a wrong dimension
+            if E.shape[1] != side.dim:
+                raise SpectralSplitFailure(
+                    f"side {i}: dim E_minus = {E.shape[1]}, expected {side.dim}")
+            bases.append(E)
+        V = _right_singular_rows(problem.operator.matrix(zf), full_matrices=False)
+        # V E for E the direct sum of the sides' bases, taken side by side
+        VE = np.hstack([V_side @ E
+                        for V_side, E in zip(np.hsplit(V, len(bases)), bases)])
+        (p, k), n = VE.shape, V.shape[1]
+        if k != p:
+            raise DimensionMismatch(f"dim E_minus ({k}) + dim ker M ({n - p}) != {n}")
+        return min(float(abs(np.linalg.det(VE))), 1.0), k
 
     for idx, zf in enumerate(points):
         try:
@@ -1000,38 +1017,11 @@ def shock_boundary_operator(shock: PlanarShock,
 
 
 def _shock_problem(shock: PlanarShock, tol_det: float) -> _ScanProblem:
-    d = shock.axis
-    eos = shock.eos
-    sides = {}
-    for name, state in (("right", shock.right), ("left", shock.left)):
-        A_d, ok = boundary_matrix(state, eos, d, tol_det=tol_det)
-        if not ok:
-            raise CharacteristicBoundary(
-                f"shock {name} side is characteristic for axis {d}")
-        t1, t2 = _tangential_axes(d)
-        sides[name] = (
-            np.linalg.inv(A_d),
-            assemble_full_symbol(state, eos, unit_vector(t1)),
-            assemble_full_symbol(state, eos, unit_vector(t2)),
-            A_d,
-        )
-    eye = np.eye(8)
-
-    def G_of(zf: BoundaryFrequency) -> np.ndarray:
-        blocks = []
-        for name, sign in (("right", 1.0), ("left", -1.0)):
-            inv, A_t1, A_t2, _ = sides[name]
-            G = inv @ ((zf.tau - 1j * zf.gamma_L) * eye
-                       + zf.eta[0] * A_t1 + zf.eta[1] * A_t2)
-            blocks.append(sign * G)
-        return scipy.linalg.block_diag(*blocks)
-
-    a_d_inv = scipy.linalg.block_diag(sides["right"][0], -sides["left"][0])
-    n_pos_right, _ = _count_signs(sides["right"][3])
-    _, n_neg_left = _count_signs(sides["left"][3])
-    expected = n_pos_right + n_neg_left
-    operator = shock_boundary_operator(shock)
-    return _ScanProblem(16, G_of, a_d_inv, expected, operator, {})
+    sides = tuple(_Side(state, shock.eos, shock.axis, tol_det, sign,
+                        f"shock {name} side")
+                  for name, state, sign in (("right", shock.right, 1.0),
+                                            ("left", shock.left, -1.0)))
+    return _ScanProblem(sides, shock_boundary_operator(shock))
 
 
 def shock_scan(shock: PlanarShock, sampling=None, *, tol_det: float = 1e-10,

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import scipy.linalg
+
 from mhdstab.errors import (
     CharacteristicBoundary,
     DimensionMismatch,
@@ -460,6 +462,95 @@ def test_shock_scan_rejects_characteristic_front(gas):
     sh = rankine_hugoniot(gas, up, family="fast", mach=1.0, d=3)
     with pytest.raises(CharacteristicBoundary):
         shock_scan(sh, HemisphereGrid(n_phi=2, n_sphere=8, equator_refine=1))
+
+
+def _mixed_grid(n, seed):
+    """n unit frequencies, every third on the gamma_L = 0 equator."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for i in range(n):
+        v = rng.standard_normal(4)
+        v[1] = 0.0 if i % 3 == 0 else abs(v[1])
+        v /= np.linalg.norm(v)
+        points.append(BoundaryFrequency(v[0], v[1], v[2:]))
+    return ExplicitGrid(points)
+
+
+def _reference_abs_D(gas, sides, d, operator, zf):
+    """|D| by lopatinski_det on the block-diagonal assemble_G path; sides
+    are (state, sign) pairs in trace order."""
+    G = scipy.linalg.block_diag(
+        *[sign * assemble_G(st, gas, d, zf) for st, sign in sides])
+    a_d_inv = scipy.linalg.block_diag(
+        *[sign * np.linalg.inv(boundary_matrix(st, gas, d)[0]) for st, sign in sides])
+    E = stable_subspace(G, zf.gamma_L, a_d_inv=a_d_inv)
+    return lopatinski_det(E, operator, zf).abs_D
+
+
+def test_scan_rows_match_reference_path(gas):
+    grid = _mixed_grid(30, 61)
+    st = SUBSONIC_STATE
+    A_d, _ = boundary_matrix(st, gas, 3)
+    zf0 = BoundaryFrequency(0.3, 0.5, [0.4, -0.1]).normalized()
+    E0 = stable_subspace(assemble_G(st, gas, 3, zf0), zf0.gamma_L,
+                         a_d_inv=np.linalg.inv(A_d))
+    M = BoundaryOperator.from_matrix(E0.conj().T)
+    cases = [(uniform_scan(st, gas, 3, M, grid, polish_rounds=0), [(st, 1.0)], M)]
+    for B in ([0.0, 0.0, 0.0], [0.2, -0.1, 0.3]):
+        up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
+        sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
+        cases.append((shock_scan(sh, grid, polish_rounds=0),
+                      [(sh.right, 1.0), (sh.left, -1.0)], shock_boundary_operator(sh)))
+    for res, sides, op in cases:
+        assert not res.failures
+        assert len(res.rows) == grid.n_points
+        for row, zf in zip(res.rows, grid.points()):
+            assert abs(row[4] - _reference_abs_D(gas, sides, 3, op, zf)) <= 1e-12
+
+
+def test_scan_flags_unsigned_upstream_continuation(gas):
+    # Shifting the upstream block along the unsigned A_d^{-1} at gamma_L = 0
+    # takes its splitting from gamma_L < 0; the dimension check must turn
+    # that into per-point failures, not a wrong |D|.
+    from mhdstab.lopatinski import _scan, _shock_problem
+
+    class UnsignedContinuation:
+        def __init__(self, side):
+            self.G, self.dim, self.a_d_inv = side.G, side.dim, -side.a_d_inv
+
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0])
+    sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
+    grid = _mixed_grid(30, 62)
+    good = _scan(_shock_problem(sh, 1e-10), grid, 1e-6, polish_rounds=0)
+    problem = _shock_problem(sh, 1e-10)
+    right, left = problem.sides
+    problem.sides = (right, UnsignedContinuation(left))
+    bad = _scan(problem, grid, 1e-6, polish_rounds=0)
+    equator = {i for i, zf in enumerate(grid.points()) if zf.gamma_L == 0.0}
+    assert not good.failures
+    assert {f["index"] for f in bad.failures} == equator
+    assert {f["type"] for f in bad.failures} == {"SpectralSplitFailure"}
+    assert bad.rows == [row for row in good.rows if row[1] > 0.0]
+
+
+def test_shock_scan_invariant_under_axis_relabelling(gas):
+    # the same shock with its normal along x_1, x_2 or x_3: u and B keep
+    # their (normal, t1, t2) components, so the rows agree (d = 2 is a
+    # reflection of the tangential pair)
+    u_ntt, B_ntt = (0.0, 0.1, 0.05), (0.1, 0.15, -0.08)
+    grid = _mixed_grid(24, 63)
+    values = []
+    for d in (1, 2, 3):
+        axes = [d] + [a for a in (1, 2, 3) if a != d]
+        u, B = np.zeros(3), np.zeros(3)
+        u[np.array(axes) - 1], B[np.array(axes) - 1] = u_ntt, B_ntt
+        up = ThermoState(rho=1.0, u=u, theta=1.0, B=B)
+        res = shock_scan(rankine_hugoniot(gas, up, family="fast", mach=1.7, d=d),
+                         grid, polish_rounds=0)
+        assert not res.failures
+        values.append([row[4] for row in res.rows])
+    assert_allclose(values[0], values[2], rtol=0, atol=1e-12)
+    assert_allclose(values[1], values[2], rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------------
