@@ -10,24 +10,25 @@ shock-study  small-magnetic-field limit study -> study.csv/json
 Every run is fully determined by one JSON config file; outputs contain no
 timestamps and numbers are written with 17 significant digits, so repeated
 runs are byte-identical.  Exit codes: 0 success, 1 science failures
-recorded in the outputs (suppressed by --allow-partial), 2 config or
-usage errors.
+recorded in the outputs (suppressed by --allow-partial) or raised before
+any point is evaluated, 2 config or usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .charstruct import BoundaryFrame, classification_record, classify, wave_speeds
-from .errors import CharacteristicBoundary, ConfigError, MhdStabError
+from .errors import ConfigError, MhdStabError
 from .lopatinski import (
+    _LAX_PATTERNS,
     BoundaryFrequency,
-    BoundaryOperator,
     GasShockSpec,
     HemisphereGrid,
     PlanarShock,
@@ -75,6 +76,8 @@ def _expect_list(cfg, path: str) -> list:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):  # json accepts NaN and Infinity
+        _fail(path, f"expected a finite number, got {value}")
     return float(value)
 
 
@@ -90,6 +93,12 @@ def _get(cfg: dict, key: str, path: str, required: bool = True, default=None):
             _fail(path, f"missing required field '{key}'")
         return default
     return cfg[key]
+
+
+def _get_number(cfg: dict, key: str, path: str, default: float | None = None) -> float:
+    """Field `key` of the object at `path`; required unless a default is given."""
+    return _expect_number(_get(cfg, key, path, required=default is None,
+                               default=default), f"{path}.{key}")
 
 
 def load_config(path) -> dict:
@@ -110,7 +119,7 @@ def _parse_eos(cfg: dict, path: str = "eos") -> EquationOfState:
     d = _expect_dict(_get(cfg, "eos", "config"), path)
     try:
         return eos_from_dict(d)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         _fail(path, str(exc))
 
 
@@ -130,21 +139,44 @@ def _parse_tolerances(cfg: dict) -> dict:
     return tols
 
 
-def _parse_vec3(value, path: str) -> np.ndarray:
+def _parse_numbers(value, path: str, n: int) -> list[float]:
     arr = _expect_list(value, path)
-    if len(arr) != 3:
-        _fail(path, f"expected 3 components, got {len(arr)}")
-    return np.array([_expect_number(v, f"{path}[{i}]") for i, v in enumerate(arr)])
+    if len(arr) != n:
+        _fail(path, f"expected {n} components, got {len(arr)}")
+    return [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(arr)]
+
+
+def _parse_vec3(value, path: str) -> np.ndarray:
+    return np.array(_parse_numbers(value, path, 3))
+
+
+def _parse_matrix(value, path: str) -> np.ndarray:
+    """A non-empty rectangular array of rows of [re, im] pairs."""
+    rows = [_expect_list(row, f"{path}[{i}]")
+            for i, row in enumerate(_expect_list(value, path))]
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        _fail(path, "expected a non-empty array of rows of equal length")
+    return np.array([[complex(*_parse_numbers(entry, f"{path}[{i}][{j}]", 2))
+                      for j, entry in enumerate(row)]
+                     for i, row in enumerate(rows)])
+
+
+def _parse_axis(d: dict, path: str, default: int | None = None) -> int:
+    axis = _expect_int(_get(d, "axis", path, required=default is None,
+                            default=default), f"{path}.axis")
+    if axis not in (1, 2, 3):
+        _fail(f"{path}.axis", f"must be 1, 2 or 3, got {axis}")
+    return axis
 
 
 def _parse_state(value, path: str) -> ThermoState:
     d = _expect_dict(value, path)
     try:
         return ThermoState(
-            rho=_expect_number(_get(d, "rho", path), f"{path}.rho"),
+            rho=_get_number(d, "rho", path),
             u=_parse_vec3(_get(d, "u", path, required=False, default=[0, 0, 0]),
                           f"{path}.u"),
-            theta=_expect_number(_get(d, "theta", path), f"{path}.theta"),
+            theta=_get_number(d, "theta", path),
             B=_parse_vec3(_get(d, "B", path, required=False, default=[0, 0, 0]),
                           f"{path}.B"),
         )
@@ -152,68 +184,56 @@ def _parse_state(value, path: str) -> ThermoState:
         _fail(path, str(exc))
 
 
-def _parse_states(cfg: dict, path: str = "states") -> list[ThermoState]:
-    raw = _get(cfg, "states", "config")
+def _parse_sweep(cfg: dict, key: str, parse, draw) -> list:
+    """The non-empty list `key` of items read by `parse`, or a seeded random
+    spec {"random": {"count": N, "seed": S}} of N items drawn by `draw`."""
+    raw = _get(cfg, key, "config")
     if isinstance(raw, dict):
-        spec = _expect_dict(raw.get("random"), f"{path}.random")
-        count = _expect_int(_get(spec, "count", f"{path}.random"), f"{path}.random.count")
-        seed = _expect_int(_get(spec, "seed", f"{path}.random"), f"{path}.random.seed")
+        spec = _expect_dict(raw.get("random"), f"{key}.random")
+        count = _expect_int(_get(spec, "count", f"{key}.random"), f"{key}.random.count")
+        seed = _expect_int(_get(spec, "seed", f"{key}.random"), f"{key}.random.seed")
         if count < 1:
-            _fail(f"{path}.random.count", "must be >= 1")
+            _fail(f"{key}.random.count", "must be >= 1")
         rng = np.random.default_rng(seed)
-        states = []
-        for _ in range(count):
-            states.append(ThermoState(
-                rho=10.0 ** rng.uniform(-2, 2),
-                u=rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.0, 10.0),
-                theta=10.0 ** rng.uniform(-2, 2),
-                B=rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.0, 10.0),
-            ))
-        return states
-    raw = _expect_list(raw, path)
+        return [draw(rng) for _ in range(count)]
+    raw = _expect_list(raw, key)
     if not raw:
-        _fail(path, "state grid must not be empty")
-    return [_parse_state(v, f"{path}[{i}]") for i, v in enumerate(raw)]
+        _fail(key, "must not be empty")
+    return [parse(v, f"{key}[{i}]") for i, v in enumerate(raw)]
 
 
-def _parse_frequencies(cfg: dict, path: str = "frequencies") -> list[np.ndarray]:
-    raw = _get(cfg, "frequencies", "config")
-    if isinstance(raw, dict):
-        spec = _expect_dict(raw.get("random"), f"{path}.random")
-        count = _expect_int(_get(spec, "count", f"{path}.random"), f"{path}.random.count")
-        seed = _expect_int(_get(spec, "seed", f"{path}.random"), f"{path}.random.seed")
-        if count < 1:
-            _fail(f"{path}.random.count", "must be >= 1")
-        rng = np.random.default_rng(seed)
-        out = []
-        for _ in range(count):
-            v = rng.standard_normal(3)
-            v /= np.linalg.norm(v)
-            out.append(v * 10.0 ** rng.uniform(-1, 1))
-        return out
-    raw = _expect_list(raw, path)
-    if not raw:
-        _fail(path, "frequency grid must not be empty")
-    xis = [_parse_vec3(v, f"{path}[{i}]") for i, v in enumerate(raw)]
-    for i, xi in enumerate(xis):
-        if float(np.linalg.norm(xi)) == 0.0:
-            _fail(f"{path}[{i}]", "frequency must be nonzero")
-    return xis
+def _random_state(rng: np.random.Generator) -> ThermoState:
+    return ThermoState(rho=10.0 ** rng.uniform(-2, 2),
+                       u=rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.0, 10.0),
+                       theta=10.0 ** rng.uniform(-2, 2),
+                       B=rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.0, 10.0))
 
 
-def _parse_boundary(cfg: dict, required: bool = False) -> BoundaryFrame | None:
+def _parse_frequency(value, path: str) -> np.ndarray:
+    xi = _parse_vec3(value, path)
+    if float(np.linalg.norm(xi)) == 0.0:
+        _fail(path, "frequency must be nonzero")
+    return xi
+
+
+def _random_frequency(rng: np.random.Generator) -> np.ndarray:
+    v = rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    return v * 10.0 ** rng.uniform(-1, 1)
+
+
+def _parse_sweeps(cfg: dict) -> tuple[list[ThermoState], list[np.ndarray]]:
+    return (_parse_sweep(cfg, "states", _parse_state, _random_state),
+            _parse_sweep(cfg, "frequencies", _parse_frequency, _random_frequency))
+
+
+def _parse_boundary(cfg: dict) -> BoundaryFrame | None:
     raw = cfg.get("boundary")
     if raw is None:
-        if required:
-            _fail("boundary", "missing required field 'boundary'")
         return None
     d = _expect_dict(raw, "boundary")
-    axis = _expect_int(_get(d, "axis", "boundary"), "boundary.axis")
-    if axis not in (1, 2, 3):
-        _fail("boundary.axis", f"must be 1, 2 or 3, got {axis}")
-    sigma = _expect_number(_get(d, "sigma", "boundary", required=False, default=0.0),
-                           "boundary.sigma")
-    return BoundaryFrame(axis=axis, sigma=sigma)
+    return BoundaryFrame(axis=_parse_axis(d, "boundary"),
+                         sigma=_get_number(d, "sigma", "boundary", default=0.0))
 
 
 def _parse_grid(cfg: dict) -> HemisphereGrid:
@@ -231,17 +251,31 @@ def _parse_grid(cfg: dict) -> HemisphereGrid:
     return HemisphereGrid(**kwargs)
 
 
+def _parse_scan_settings(cfg: dict) -> tuple:
+    """What scan and shock-study share: the eos, the grid, the keywords every
+    scan entry point takes, and the refinement convergence tolerance."""
+    eos = _parse_eos(cfg)
+    tols = _parse_tolerances(cfg)
+    grid = _parse_grid(cfg)
+    polish_rounds = _expect_int(cfg.get("polish_rounds", 6), "polish_rounds")
+    if polish_rounds < 0:
+        _fail("polish_rounds", f"must be >= 0, got {polish_rounds}")
+    conv_tol = _expect_number(cfg.get("convergence_tol", 0.05), "convergence_tol")
+    if conv_tol <= 0.0:
+        _fail("convergence_tol", f"must be positive, got {conv_tol}")
+    scan_kwargs = {"tol_det": tols["tol_det"], "eps_cont": tols["eps_cont"],
+                   "polish_rounds": polish_rounds}
+    return eos, grid, scan_kwargs, conv_tol
+
+
 def _parse_zeta(value, path: str) -> BoundaryFrequency:
     d = _expect_dict(value, path)
-    eta = _expect_list(_get(d, "eta", path, required=False, default=[0.0, 0.0]),
-                       f"{path}.eta")
-    if len(eta) != 2:
-        _fail(f"{path}.eta", f"expected 2 components, got {len(eta)}")
+    eta = _get(d, "eta", path, required=False, default=[0.0, 0.0])
     try:
         return BoundaryFrequency(
-            tau=_expect_number(_get(d, "tau", path), f"{path}.tau"),
-            gamma_L=_expect_number(_get(d, "gamma_L", path), f"{path}.gamma_L"),
-            eta=[_expect_number(v, f"{path}.eta[{i}]") for i, v in enumerate(eta)],
+            tau=_get_number(d, "tau", path),
+            gamma_L=_get_number(d, "gamma_L", path),
+            eta=_parse_numbers(eta, f"{path}.eta", 2),
         )
     except ValueError as exc:
         _fail(path, str(exc))
@@ -251,11 +285,10 @@ def _parse_shock(cfg_shock: dict, eos: EquationOfState, path: str = "shock") -> 
     d = _expect_dict(cfg_shock, path)
     upstream = _parse_state(_get(d, "upstream", path), f"{path}.upstream")
     family = _get(d, "family", path, required=False, default="fast")
-    mach = _expect_number(_get(d, "mach", path), f"{path}.mach")
-    axis = _expect_int(_get(d, "axis", path), f"{path}.axis")
-    if axis not in (1, 2, 3):
-        _fail(f"{path}.axis", f"must be 1, 2 or 3, got {axis}")
-    return rankine_hugoniot(eos, upstream, family=family, mach=mach, d=axis)
+    if not isinstance(family, str) or family not in _LAX_PATTERNS:
+        _fail(f"{path}.family", f"must be one of {sorted(_LAX_PATTERNS)}, got {family!r}")
+    return rankine_hugoniot(eos, upstream, family=family,
+                            mach=_get_number(d, "mach", path), d=_parse_axis(d, path))
 
 
 # ----------------------------------------------------------------------------
@@ -286,8 +319,7 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 def cmd_speeds(cfg: dict, out: Path, dump_symbols: bool = False) -> int:
     eos = _parse_eos(cfg)
-    states = _parse_states(cfg)
-    xis = _parse_frequencies(cfg)
+    states, xis = _parse_sweeps(cfg)
     header = ["state_index", "xi_index", "rho", "u1", "u2", "u3", "theta",
               "B1", "B2", "B3", "xi1", "xi2", "xi3",
               "a", "b", "h", "c0", "c_s", "c_f"]
@@ -313,8 +345,7 @@ def cmd_speeds(cfg: dict, out: Path, dump_symbols: bool = False) -> int:
 def cmd_classify(cfg: dict, out: Path) -> int:
     eos = _parse_eos(cfg)
     tols = _parse_tolerances(cfg)
-    states = _parse_states(cfg)
-    xis = _parse_frequencies(cfg)
+    states, xis = _parse_sweeps(cfg)
     boundary = _parse_boundary(cfg)
     records = []
     n_errors = 0
@@ -345,64 +376,54 @@ def cmd_classify(cfg: dict, out: Path) -> int:
     return 0 if n_errors == 0 else 1
 
 
-def _build_scan(cfg: dict, eos: EquationOfState, grid, tols, polish_rounds) -> ScanResult:
+def _build_scan(cfg: dict, eos: EquationOfState, grid, scan_kwargs: dict) -> ScanResult:
     has_boundary = "boundary" in cfg
     has_shock = "shock" in cfg
     if has_boundary == has_shock:
         _fail("config", "exactly one of 'boundary' or 'shock' is required for scan")
     if has_shock:
-        shock = _parse_shock(cfg["shock"], eos)
-        return shock_scan(shock, grid, tol_det=tols["tol_det"],
-                          eps_cont=tols["eps_cont"], polish_rounds=polish_rounds)
+        return shock_scan(_parse_shock(cfg["shock"], eos), grid, **scan_kwargs)
     b = _expect_dict(cfg["boundary"], "boundary")
     state = _parse_state(_get(b, "state", "boundary"), "boundary.state")
-    axis = _expect_int(_get(b, "axis", "boundary"), "boundary.axis")
-    if axis not in (1, 2, 3):
-        _fail("boundary.axis", f"must be 1, 2 or 3, got {axis}")
+    axis = _parse_axis(b, "boundary")
     op_spec = _expect_dict(_get(b, "operator", "boundary"), "boundary.operator")
     kind = _get(op_spec, "kind", "boundary.operator")
     if kind == "matrix":
-        rows = _expect_list(_get(op_spec, "rows", "boundary.operator"),
-                            "boundary.operator.rows")
-        M = np.array([[complex(entry[0], entry[1]) for entry in row]
-                      for row in rows])
-        operator = BoundaryOperator.from_matrix(M)
+        M = _parse_matrix(_get(op_spec, "rows", "boundary.operator"),
+                          "boundary.operator.rows")
     elif kind == "frozen-complement":
         zf0 = _parse_zeta(_get(op_spec, "at", "boundary.operator"),
                           "boundary.operator.at")
-        A_d, ok = boundary_matrix(state, eos, axis, tol_det=tols["tol_det"])
-        if not ok:
-            raise CharacteristicBoundary(
-                f"boundary x_{axis} = const is characteristic")
-        G0 = assemble_G(state, eos, axis, zf0, tol_det=tols["tol_det"])
+        tol_det = scan_kwargs["tol_det"]
+        # raises CharacteristicBoundary before A_d is inverted
+        G0 = assemble_G(state, eos, axis, zf0, tol_det=tol_det)
+        A_d, _ = boundary_matrix(state, eos, axis, tol_det=tol_det)
         E0 = stable_subspace(G0, zf0.gamma_L, a_d_inv=np.linalg.inv(A_d),
-                             eps_cont=tols["eps_cont"])
-        operator = BoundaryOperator.from_matrix(E0.conj().T)
+                             eps_cont=scan_kwargs["eps_cont"])
+        M = E0.conj().T
     else:
         _fail("boundary.operator.kind",
               f"unknown kind {kind!r} (expected 'matrix' or 'frozen-complement')")
-    return uniform_scan(state, eos, axis, operator, grid,
-                        tol_det=tols["tol_det"], eps_cont=tols["eps_cont"],
-                        polish_rounds=polish_rounds)
+    return uniform_scan(state, eos, axis, M, grid, **scan_kwargs)
+
+
+def _converged(base: float | None, fine: float | None, tol: float) -> bool:
+    """Refinement test: min |D| moved by at most tol relative to the fine value."""
+    return (base is not None and fine is not None
+            and abs(base - fine) <= tol * max(abs(fine), 1e-300))
 
 
 def cmd_scan(cfg: dict, out: Path, refine: int = 1, allow_partial: bool = False) -> int:
-    eos = _parse_eos(cfg)
-    tols = _parse_tolerances(cfg)
-    grid = _parse_grid(cfg)
-    polish_rounds = _expect_int(cfg.get("polish_rounds", 6), "polish_rounds")
-    conv_tol = _expect_number(cfg.get("convergence_tol", 0.05), "convergence_tol")
-
-    result = _build_scan(cfg, eos, grid, tols, polish_rounds)
+    eos, grid, scan_kwargs, conv_tol = _parse_scan_settings(cfg)
+    result = _build_scan(cfg, eos, grid, scan_kwargs)
     result.write_csv(out / "scan.csv")
     summary = result.summary()
 
     if refine > 1:
-        refined = _build_scan(cfg, eos, grid.refined(refine), tols, polish_rounds)
+        refined = _build_scan(cfg, eos, grid.refined(refine), scan_kwargs)
         refined.write_csv(out / "scan_refined.csv")
         base, fine = result.min_abs_D, refined.min_abs_D
-        converged = (base is not None and fine is not None
-                     and abs(base - fine) <= conv_tol * max(abs(fine), 1e-300))
+        converged = _converged(base, fine, conv_tol)
         summary["refinement"] = {
             "factor": refine,
             "min_abs_D": [base, fine],
@@ -424,57 +445,41 @@ def cmd_scan(cfg: dict, out: Path, refine: int = 1, allow_partial: bool = False)
 
 def cmd_shock_study(cfg: dict, out: Path, refine: int = 1,
                     allow_partial: bool = False) -> int:
-    eos = _parse_eos(cfg)
-    tols = _parse_tolerances(cfg)
-    grid = _parse_grid(cfg)
-    polish_rounds = _expect_int(cfg.get("polish_rounds", 6), "polish_rounds")
-    conv_tol = _expect_number(cfg.get("convergence_tol", 0.05), "convergence_tol")
-
+    eos, grid, scan_kwargs, conv_tol = _parse_scan_settings(cfg)
     gs = _expect_dict(_get(cfg, "gas_shock", "config"), "gas_shock")
-    axis = _expect_int(_get(gs, "axis", "gas_shock", required=False, default=3),
-                       "gas_shock.axis")
-    if axis not in (1, 2, 3):
-        _fail("gas_shock.axis", f"must be 1, 2 or 3, got {axis}")
     spec = GasShockSpec(
-        rho=_expect_number(_get(gs, "rho", "gas_shock"), "gas_shock.rho"),
-        theta=_expect_number(_get(gs, "theta", "gas_shock"), "gas_shock.theta"),
-        mach=_expect_number(_get(gs, "mach", "gas_shock"), "gas_shock.mach"),
-        axis=axis,
+        rho=_get_number(gs, "rho", "gas_shock"),
+        theta=_get_number(gs, "theta", "gas_shock"),
+        mach=_get_number(gs, "mach", "gas_shock"),
+        axis=_parse_axis(gs, "gas_shock", default=3),
         b_direction=tuple(_parse_vec3(
             _get(gs, "b_direction", "gas_shock", required=False,
                  default=[1.0, 0.0, 0.0]), "gas_shock.b_direction")),
     )
+    if not any(spec.b_direction):
+        _fail("gas_shock.b_direction", "must be nonzero")
     b_values = [_expect_number(v, f"B_values[{i}]")
                 for i, v in enumerate(_expect_list(_get(cfg, "B_values", "config"),
                                                    "B_values"))]
-    if not b_values:
-        _fail("B_values", "must not be empty")
-
-    def run(g) -> "StudyResult":
-        return b_to_zero_study(eos, spec, b_values, g,
-                               tol_det=tols["tol_det"], eps_cont=tols["eps_cont"],
-                               polish_rounds=polish_rounds)
+    if not b_values or min(b_values) < 0.0:
+        _fail("B_values", "must be a non-empty list of magnitudes >= 0")
 
     try:
-        study = run(grid)
+        study = b_to_zero_study(eos, spec, b_values, grid, **scan_kwargs)
+        refined = (b_to_zero_study(eos, spec, b_values, grid.refined(refine),
+                                   **scan_kwargs) if refine > 1 else None)
     except MhdStabError as exc:
         write_json(out / "study.json", {
             "error": {"type": type(exc).__name__, "message": str(exc)}})
-        print(f"study failed: {exc}", file=sys.stderr)
-        return 1
+        raise
 
     payload = study.to_dict()
-    if refine > 1:
-        refined = run(grid.refined(refine))
-        per_row = []
-        converged = True
-        for row, row_ref in zip(study.rows, refined.rows):
-            ok = abs(row.min_abs_D - row_ref.min_abs_D) <= conv_tol * max(
-                abs(row_ref.min_abs_D), 1e-300)
-            converged = converged and ok
-            per_row.append({"B": row.B_mag,
-                            "min_abs_D": [row.min_abs_D, row_ref.min_abs_D],
-                            "converged": ok})
+    if refined is not None:
+        per_row = [{"B": row.B_mag,
+                    "min_abs_D": [row.min_abs_D, row_ref.min_abs_D],
+                    "converged": _converged(row.min_abs_D, row_ref.min_abs_D, conv_tol)}
+                   for row, row_ref in zip(study.rows, refined.rows)]
+        converged = all(r["converged"] for r in per_row)
         payload["refinement"] = {
             "factor": refine, "convergence_tol": conv_tol,
             "rows": per_row, "converged": converged,
@@ -514,17 +519,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="eigenvalue classification sweep")
     add_common(p)
 
-    p = sub.add_parser("scan", help="Lopatinski hemisphere scan")
-    add_common(p)
-    p.add_argument("--refine", type=int, default=1, metavar="K",
-                   help="also scan at K-fold grid density and report convergence")
-    p.add_argument("--allow-partial", action="store_true",
-                   help="exit 0 even when per-point failures were recorded")
-
-    p = sub.add_parser("shock-study", help="small-magnetic-field limit study")
-    add_common(p)
-    p.add_argument("--refine", type=int, default=1, metavar="K")
-    p.add_argument("--allow-partial", action="store_true")
+    for command, help_text in (("scan", "Lopatinski hemisphere scan"),
+                               ("shock-study", "small-magnetic-field limit study")):
+        p = sub.add_parser(command, help=help_text)
+        add_common(p)
+        p.add_argument("--refine", type=int, default=1, metavar="K",
+                       help="also scan at K-fold grid density and report convergence")
+        p.add_argument("--allow-partial", action="store_true",
+                       help="exit 0 even when per-point failures were recorded")
     return parser
 
 
@@ -538,23 +540,19 @@ def main(argv=None) -> int:
             return cmd_speeds(cfg, out, dump_symbols=args.dump_symbols)
         if args.command == "classify":
             return cmd_classify(cfg, out)
-        if args.command == "scan":
-            if args.refine < 1:
-                _fail("--refine", "must be >= 1")
-            return cmd_scan(cfg, out, refine=args.refine,
-                            allow_partial=args.allow_partial)
-        if args.command == "shock-study":
-            if args.refine < 1:
-                _fail("--refine", "must be >= 1")
-            return cmd_shock_study(cfg, out, refine=args.refine,
-                                   allow_partial=args.allow_partial)
-        raise AssertionError(f"unhandled command {args.command}")
+        if args.refine < 1:
+            _fail("--refine", "must be >= 1")
+        cmd = cmd_scan if args.command == "scan" else cmd_shock_study
+        return cmd(cfg, out, refine=args.refine, allow_partial=args.allow_partial)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    except MhdStabError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

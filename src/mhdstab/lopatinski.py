@@ -296,8 +296,8 @@ class BoundaryOperator:
     """Boundary condition matrix M of shape (p, n), possibly zeta-dependent.
 
     rank(M) = p is required wherever the operator is evaluated; kernel_dim
-    = n - p.  Wrap a fixed matrix with `from_matrix` or a callable
-    zf -> matrix with `from_evaluator`.
+    = n - p.  Wrap a fixed matrix with `from_matrix`, or pass a callable
+    zf -> matrix to the constructor.
     """
 
     def __init__(self, evaluator, n: int, p: int):
@@ -313,10 +313,6 @@ class BoundaryOperator:
     def from_matrix(cls, M) -> "BoundaryOperator":
         M = np.atleast_2d(np.asarray(M, dtype=complex))
         return cls(lambda zf: M, n=M.shape[1], p=M.shape[0])
-
-    @classmethod
-    def from_evaluator(cls, fn, n: int, p: int) -> "BoundaryOperator":
-        return cls(fn, n=n, p=p)
 
     def matrix(self, zf: BoundaryFrequency | None = None) -> np.ndarray:
         M = np.atleast_2d(np.asarray(self._evaluator(zf), dtype=complex))
@@ -345,7 +341,6 @@ def _right_singular_rows(M: np.ndarray, full_matrices: bool) -> np.ndarray:
 class LopatinskiResult:
     """Lopatinski determinant at one frequency point."""
 
-    E_minus: np.ndarray
     k: int
     abs_D: float
     diagnostics: dict
@@ -375,7 +370,6 @@ def lopatinski_det(E_minus: np.ndarray, M: BoundaryOperator,
     s = np.linalg.svd(cross, compute_uv=False) if min(cross.shape) else np.array([])
     abs_gram = float(np.sqrt(np.prod(np.clip(1.0 - s**2, 0.0, None)))) if s.size else 1.0
     return LopatinskiResult(
-        E_minus=E,
         k=k,
         abs_D=min(abs_qr, 1.0),
         diagnostics={"abs_D_qr": abs_qr, "abs_D_gram": abs_gram,
@@ -437,6 +431,9 @@ class _ScanProblem:
     operator.  G_of and a_d_inv are the direct sums over the sides."""
 
     def __init__(self, sides, operator: BoundaryOperator):
+        if operator.n != 8 * len(sides):
+            raise DimensionMismatch(f"boundary operator acts on {operator.n} "
+                                    f"components, the trace has {8 * len(sides)}")
         self.sides = sides
         self.operator = operator
         self.expected_dim = sum(side.dim for side in sides)
@@ -455,7 +452,9 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
 
 
 def _scan(problem: _ScanProblem, grid, eps_cont: float,
-          polish_rounds: int = 6, polish_radius: float | None = None) -> ScanResult:
+          polish_rounds: int) -> ScanResult:
+    if grid is None:
+        grid = HemisphereGrid()
     points = grid.points()
     rows: list[tuple] = []
     failures: list[dict] = []
@@ -499,14 +498,12 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
 
     sweep_min, sweep_argmin = min_abs, argmin
     polish_info: dict = {"rounds": 0}
-    if polish_rounds > 0 and argmin is not None:
-        if polish_radius is None:
-            polish_radius = _default_polish_radius(grid)
-        if polish_radius is not None:
-            min_abs, argmin, n_eval = _polish_min(
-                evaluate, argmin, min_abs, polish_rounds, polish_radius, failures)
-            polish_info = {"rounds": polish_rounds, "radius": polish_radius,
-                           "n_evaluations": n_eval}
+    polish_radius = _polish_radius(grid)
+    if polish_rounds > 0 and argmin is not None and polish_radius is not None:
+        min_abs, argmin, n_eval = _polish_min(
+            evaluate, argmin, min_abs, polish_rounds, polish_radius, failures)
+        polish_info = {"rounds": polish_rounds, "radius": polish_radius,
+                       "n_evaluations": n_eval}
 
     return ScanResult(
         min_abs_D=min_abs,
@@ -523,7 +520,7 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
     )
 
 
-def _default_polish_radius(grid) -> float | None:
+def _polish_radius(grid) -> float | None:
     if isinstance(grid, HemisphereGrid):
         # twice the typical equator-point spacing
         return 2.0 * math.sqrt(4.0 * math.pi / (grid.equator_refine * grid.n_sphere))
@@ -581,18 +578,19 @@ def _polish_min(evaluate, zf0: BoundaryFrequency, abs0: float, rounds: int,
 
 def uniform_scan(state: ThermoState, eos: EquationOfState, d: int, M,
                  sampling=None, *, tol_det: float = 1e-10,
-                 eps_cont: float = 1e-6, polish_rounds: int = 6,
-                 polish_radius: float | None = None) -> ScanResult:
+                 eps_cont: float = 1e-6, polish_rounds: int = 6) -> ScanResult:
     """Scan |D| over the unit hemisphere for a one-sided boundary problem.
 
     M is a BoundaryOperator (or a plain matrix) with as many rows as A_d
-    has positive eigenvalues.  Per-point science errors are collected into
-    the failure report, never silently skipped; the reduction is by grid
-    order, so results are deterministic.
+    has positive eigenvalues.  `sampling` defaults to HemisphereGrid().
+    Per-point science errors are collected into the failure report, never
+    silently skipped; the reduction is by grid order, so results are
+    deterministic.  The argmin polish runs `polish_rounds` rounds on a
+    HemisphereGrid, starting from twice its equator spacing; other grids
+    are not polished.
     """
-    grid = sampling if sampling is not None else HemisphereGrid()
-    return _scan(_one_sided_problem(state, eos, d, M, tol_det), grid, eps_cont,
-                 polish_rounds=polish_rounds, polish_radius=polish_radius)
+    return _scan(_one_sided_problem(state, eos, d, M, tol_det), sampling,
+                 eps_cont, polish_rounds)
 
 
 # ----------------------------------------------------------------------------
@@ -712,14 +710,6 @@ class PlanarShock:
     lax_valid: bool
     noncharacteristic: bool
 
-    @property
-    def upstream(self) -> ThermoState:
-        return self.left
-
-    @property
-    def downstream(self) -> ThermoState:
-        return self.right
-
     def jump_residual(self) -> np.ndarray:
         """Scaled Rankine-Hugoniot residual of the stored pair."""
         return _rh_residual(self.left.as_array(), self.right.as_array(),
@@ -826,14 +816,8 @@ def _gas_seed(upstream_vec: np.ndarray, eos: EquationOfState, axis: int,
 
 
 def _pack_downstream(x: np.ndarray, upstream_vec: np.ndarray, axis: int) -> np.ndarray:
-    t1, t2 = _tangential_axes(axis)
-    v = np.empty(8)
-    v[0] = x[0]
-    v[1:4] = x[1:4]
-    v[4] = x[4]
-    v[5:8] = upstream_vec[5:8]  # normal component inherited: [B_d] = 0
-    v[4 + t1] = x[5]
-    v[4 + t2] = x[6]
+    v = upstream_vec.copy()  # normal field component inherited: [B_d] = 0
+    v[_rh_rows(axis)] = x
     return v
 
 
@@ -896,16 +880,12 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
         return (flux_vector(v, eos, d) - f_left)[rows] / scales
 
     def jacobian(x: np.ndarray) -> np.ndarray:
+        # the unknowns are the primitive components of the same indices
         v = _pack_downstream(x, left_vec, d)
-        J_full = flux_jacobian(v, eos, d)[rows, :]
-        t1, t2 = _tangential_axes(d)
-        cols = [0, 1, 2, 3, 4, 4 + t1, 4 + t2]
-        return J_full[:, cols] / scales[:, None]
+        return flux_jacobian(v, eos, d)[np.ix_(rows, rows)] / scales[:, None]
 
     if seed_downstream is not None:
-        sv = seed_downstream.as_array()
-        t1, t2 = _tangential_axes(d)
-        x = np.array([sv[0], sv[1], sv[2], sv[3], sv[4], sv[4 + t1], sv[4 + t2]])
+        x = seed_downstream.as_array()[rows]
     else:
         x = _gas_seed(left_vec, eos, d, w_minus)
 
@@ -1007,13 +987,18 @@ def shock_boundary_operator(shock: PlanarShock,
         if b_norm <= 1e-12 * max(zeta_scale * jump_scale, 1e-300):
             raise RankDeficiency(
                 f"front coefficient degenerates at zeta = {zf.to_dict()}")
-        b_hat = (b_f / b_norm).reshape(8, 1)
-        U, _, _ = np.linalg.svd(b_hat, full_matrices=True)
-        return U[:, 1:].conj().T @ N_pair
+        # Rows 1.. of the Householder reflector H = I - 2 v v^H / (v^H v)
+        # that maps b_hat onto e_0 span the orthogonal complement of b_f.
+        b_hat = b_f / b_norm
+        a0 = abs(b_hat[0])
+        v = b_hat.copy()
+        v[0] += b_hat[0] / a0 if a0 > 0.0 else 1.0
+        return N_pair[1:] - np.outer(v[1:], (2.0 / np.vdot(v, v).real)
+                                     * (v.conj() @ N_pair))
 
     if zf is not None:
         return BoundaryOperator.from_matrix(evaluate(zf))
-    return BoundaryOperator.from_evaluator(evaluate, n=16, p=7)
+    return BoundaryOperator(evaluate, n=16, p=7)
 
 
 def _shock_problem(shock: PlanarShock, tol_det: float) -> _ScanProblem:
@@ -1025,12 +1010,13 @@ def _shock_problem(shock: PlanarShock, tol_det: float) -> _ScanProblem:
 
 
 def shock_scan(shock: PlanarShock, sampling=None, *, tol_det: float = 1e-10,
-               eps_cont: float = 1e-6, polish_rounds: int = 6,
-               polish_radius: float | None = None) -> ScanResult:
-    """Hemisphere scan of the two-sided shock Lopatinski determinant."""
-    grid = sampling if sampling is not None else HemisphereGrid()
-    return _scan(_shock_problem(shock, tol_det), grid, eps_cont,
-                 polish_rounds=polish_rounds, polish_radius=polish_radius)
+               eps_cont: float = 1e-6, polish_rounds: int = 6) -> ScanResult:
+    """Hemisphere scan of the two-sided shock Lopatinski determinant.
+
+    Grid, polish and failure report as in `uniform_scan`.
+    """
+    return _scan(_shock_problem(shock, tol_det), sampling, eps_cont,
+                 polish_rounds)
 
 
 # ----------------------------------------------------------------------------
@@ -1096,18 +1082,17 @@ class StudyResult:
 
 def b_to_zero_study(eos: EquationOfState, gas_shock: GasShockSpec,
                     b_values, sampling=None, *, tol_det: float = 1e-10,
-                    eps_cont: float = 1e-6, polish_rounds: int = 6,
-                    strict: bool = False) -> StudyResult:
+                    eps_cont: float = 1e-6, polish_rounds: int = 6) -> StudyResult:
     """Small-magnetic-field stability study for a Lax shock.
 
     For each |B| in the descending list (0 allowed, meaning the limiting
     gas-dynamic shock), constructs the MHD shock by continuation from the
     previous field value and scans the hemisphere; rows report min |D| and
     its deviation from the B = 0 limit.  `deviations_monotone` records
-    whether the deviation decreases along decreasing |B| > 0; with
-    strict=True a violation raises MhdStabError.
+    whether the deviation decreases along decreasing |B| > 0; it is
+    reported, not enforced.  Every scan runs on `sampling` (default
+    HemisphereGrid()) with the polish of `shock_scan`.
     """
-    grid = sampling if sampling is not None else HemisphereGrid()
     b_values = [float(b) for b in b_values]
     if any(b < 0.0 for b in b_values):
         raise ValueError("field magnitudes must be >= 0")
@@ -1121,7 +1106,7 @@ def b_to_zero_study(eos: EquationOfState, gas_shock: GasShockSpec,
                                 seed_downstream=seed)
 
     reference_shock = make_shock(0.0, None)
-    reference_scan = shock_scan(reference_shock, grid, tol_det=tol_det,
+    reference_scan = shock_scan(reference_shock, sampling, tol_det=tol_det,
                                 eps_cont=eps_cont, polish_rounds=polish_rounds)
     if reference_scan.min_abs_D is None:
         raise MhdStabError("reference B = 0 scan produced no valid points")
@@ -1134,7 +1119,7 @@ def b_to_zero_study(eos: EquationOfState, gas_shock: GasShockSpec,
             shock, scan = reference_shock, reference_scan
         else:
             shock = make_shock(b, seed)
-            scan = shock_scan(shock, grid, tol_det=tol_det, eps_cont=eps_cont,
+            scan = shock_scan(shock, sampling, tol_det=tol_det, eps_cont=eps_cont,
                               polish_rounds=polish_rounds)
             seed = shock.right
         if scan.min_abs_D is None:
@@ -1152,7 +1137,5 @@ def b_to_zero_study(eos: EquationOfState, gas_shock: GasShockSpec,
     slack = 1e-12 * max(ref_min, 1e-30)
     monotone = all(positive[i + 1].deviation <= positive[i].deviation + slack
                    for i in range(len(positive) - 1))
-    if strict and not monotone:
-        raise MhdStabError("min |D| deviations do not decrease towards B = 0")
     return StudyResult(rows=tuple(rows), reference_min_abs_D=ref_min,
-                       deviations_monotone=monotone, grid=grid.describe())
+                       deviations_monotone=monotone, grid=reference_scan.grid)

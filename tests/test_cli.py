@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mhdstab.cli import main
 
 GAS = {"kind": "ideal-gas", "R": 1.0, "c_v": 1.5}
@@ -278,3 +280,97 @@ def test_unknown_eos_kind_is_config_error(tmp_path, capsys):
     })
     assert run(["speeds", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "eos" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------------
+# exit codes
+# ----------------------------------------------------------------------------
+
+def shock_scan_config(**shock):
+    return {"eos": GAS, "grid": SMALL_GRID,
+            "shock": {"upstream": {"rho": 1.0, "u": [0, 0, 0], "theta": 1.0,
+                                   "B": [0.01, 0, 0]},
+                      "family": "fast", "mach": 2.0, "axis": 3, **shock}}
+
+
+def matrix_scan_config(rows):
+    cfg = scan_config(op_kind=None)
+    cfg["boundary"]["operator"] = {"kind": "matrix", "rows": rows}
+    return cfg
+
+
+def characteristic_scan_config():
+    # u_3 = 0: the entropy wave makes x_3 = const characteristic
+    cfg = scan_config()
+    cfg["boundary"]["state"]["u"] = [0.2, -0.1, 0.0]
+    return cfg
+
+
+CONFIG_ERRORS = {
+    "family-not-a-string": (shock_scan_config(family=["fast"]), "shock.family"),
+    "eos-R-null": ({**scan_config(), "eos": {**GAS, "R": None}}, "eos"),
+    "rows-not-pairs": (matrix_scan_config([[1, 2]]), "boundary.operator.rows[0][0]"),
+    "rows-ragged": (matrix_scan_config([[[1, 0]] * 8, [[1, 0]] * 7]),
+                    "boundary.operator.rows"),
+    "rows-empty": (matrix_scan_config([[]]), "boundary.operator.rows"),
+    "convergence-tol-zero": ({**scan_config(), "convergence_tol": 0.0},
+                             "convergence_tol"),
+    "convergence-tol-nan": ({**scan_config(), "convergence_tol": float("nan")},
+                            "convergence_tol"),
+    "polish-rounds-negative": ({**scan_config(), "polish_rounds": -1}, "polish_rounds"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_scan_config_error_exits_2(tmp_path, capsys, case):
+    cfg_dict, field = CONFIG_ERRORS[case]
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+SCIENCE_ERRORS = {
+    "mach-below-one": (shock_scan_config(mach=0.5), "NoAdmissibleShock"),
+    "characteristic-frozen-complement": (characteristic_scan_config(),
+                                         "CharacteristicBoundary"),
+    "matrix-not-8-columns": (matrix_scan_config([[[1, 0]] * 5] * 7), "DimensionMismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCIENCE_ERRORS))
+def test_scan_science_error_before_any_point_exits_1(tmp_path, capsys, case):
+    cfg_dict, error_type = SCIENCE_ERRORS[case]
+    cfg = write_config(tmp_path, cfg_dict)
+    assert run(["scan", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error_type}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"B_values": [0.1, -0.1]}, "B_values"),
+    ({"gas_shock": {"rho": 1.0, "theta": 1.0, "mach": 2.0, "b_direction": [0, 0, 0]}},
+     "gas_shock.b_direction"),
+], ids=["B-negative", "b-direction-zero"])
+def test_shock_study_config_error_exits_2(tmp_path, capsys, edit, field):
+    cfg = write_config(tmp_path, {**study_config(), **edit})
+    assert run(["shock-study", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_shock_study_science_error_writes_record(tmp_path, capsys):
+    cfg_dict = study_config()
+    cfg_dict["gas_shock"]["mach"] = 0.5
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["shock-study", "--config", cfg, "--out", str(out),
+                "--refine", "2"]) == 1
+    assert read_json(out / "study.json")["error"]["type"] == "NoAdmissibleShock"
+    assert capsys.readouterr().err.startswith("error: NoAdmissibleShock: ")
+
+
+@pytest.mark.parametrize("command, make_config", [("scan", scan_config),
+                                                  ("shock-study", study_config)])
+def test_refine_below_one_is_usage_error(tmp_path, capsys, command, make_config):
+    cfg = write_config(tmp_path, make_config())
+    assert run([command, "--config", cfg, "--out", str(tmp_path), "--refine", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --refine: ")

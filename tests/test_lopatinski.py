@@ -444,6 +444,39 @@ def test_zero_strength_shock_operator_rank_deficient(gas):
         op.matrix(BoundaryFrequency(0.3, 0.4, [0.2, 0.1]))
 
 
+@pytest.mark.parametrize("B, zf", [
+    ([0.05, 0.0, 0.0], BoundaryFrequency(0.3, 0.4, [0.2, 0.1]).normalized()),
+    ([0.2, -0.1, 0.3], BoundaryFrequency(0.6, 0.0, [0.64, -0.48])),  # gamma_L = 0
+    # tau = gamma_L = 0 at B = 0: the front vector has no mass component
+    ([0.0, 0.0, 0.0], BoundaryFrequency(0.0, 0.0, [0.6, 0.8])),
+], ids=["interior", "equator", "zero-mass-component"])
+def test_shock_operator_is_complement_of_front_vector(gas, B, zf):
+    """op.matrix(zf) = Q N_pair with Q Q^H = I_7 and Q b_f = 0, for b_f and
+    N_pair rebuilt from the conservation laws as the module docstring
+    defines them."""
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
+    sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
+    vl, vr = sh.left.as_array(), sh.right.as_array()
+    b_row = 4 + 3  # normal induction component for d = 3, tangential axes 1, 2
+
+    def jump(f):
+        return f(vr) - f(vl)
+
+    b_f = ((zf.gamma_L + 1j * zf.tau) * jump(lambda v: conserved_vector(v, gas))
+           + 1j * zf.eta[0] * jump(lambda v: flux_vector(v, gas, 1))
+           + 1j * zf.eta[1] * jump(lambda v: flux_vector(v, gas, 2)))
+    b_f[b_row] = 1j * (zf.eta[0] * (vr[5] - vl[5]) + zf.eta[1] * (vr[6] - vl[6]))
+    N_r, N_l = flux_jacobian(vr, gas, 3), flux_jacobian(vl, gas, 3)
+    N_r[b_row] = N_l[b_row] = np.eye(8)[b_row]
+    N_pair = np.hstack([N_r, -N_l])
+
+    M = shock_boundary_operator(sh).matrix(zf)
+    Q = M @ np.linalg.pinv(N_pair)  # N_pair has full row rank 8
+    assert_allclose(Q @ N_pair, M, atol=1e-12)
+    assert_allclose(Q @ Q.conj().T, np.eye(7), atol=1e-12)
+    assert_allclose(Q @ b_f / np.linalg.norm(b_f), np.zeros(7), atol=1e-12)
+
+
 def test_shock_scan_bookkeeping_and_positive_floor(gas):
     up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0])
     sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
