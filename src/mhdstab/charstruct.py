@@ -25,8 +25,9 @@ Multiple eigenvalues are classified by regime:
 The excluded regimes B = 0 and |B|^2 = rho c0^2 are detected and reported
 rather than classified.  A root of multiplicity m is nonglancing relative
 to the boundary when the m-th derivative of the characteristic polynomial
-in the normal frequency component does not vanish at the root; that test
-and the branch group velocities are computed numerically here.
+in the normal frequency component does not vanish at the root; that
+derivative is read exactly off the factorized polynomial, and the branch
+group velocities are tracked numerically.
 """
 
 from __future__ import annotations
@@ -271,6 +272,21 @@ def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
     return roots
 
 
+def _factored_char_poly(tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq) -> np.ndarray:
+    """The 9 coefficients (increasing powers) of det(tau_tilde I + A_tilde(xi))
+
+        P = T (T - F) ((T - F)(T - C) - X T)
+
+    from the length-3 coefficient arrays (increasing powers) of T =
+    tau_tilde^2, F = (xi.B)^2/rho, C = c0^2 |xi|^2 and X = |xi x B|^2/rho:
+    each factor pairs the +- roots of one wave family.
+    """
+    alfven = tau_sq - xi_dot_B_sq
+    magnetosonic = (np.convolve(alfven, tau_sq - c0_xi_sq)
+                    - np.convolve(xi_cross_B_sq, tau_sq))
+    return np.convolve(np.convolve(tau_sq, alfven), magnetosonic)
+
+
 def char_poly_reduced(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:
     """Coefficients (highest degree first) of the reduced characteristic polynomial
 
@@ -280,18 +296,10 @@ def char_poly_reduced(state: ThermoState, eos: EquationOfState, xi) -> np.ndarra
         x^8 - (c0^2 + h^2 + a^2) x^6 + a^2 (2 c0^2 + h^2) x^4 - a^4 c0^2 x^2.
     """
     ws = wave_speeds(state, eos, xi)
-    a_sq, h_sq, c0_sq = ws.a**2, ws.h**2, ws.c0**2
-    return np.array([
-        1.0,
-        0.0,
-        -(c0_sq + h_sq + a_sq),
-        0.0,
-        a_sq * (2.0 * c0_sq + h_sq),
-        0.0,
-        -(a_sq**2) * c0_sq,
-        0.0,
-        0.0,
-    ])
+    return _factored_char_poly(np.array([0.0, 0.0, 1.0]),
+                               np.array([ws.a**2, 0.0, 0.0]),
+                               np.array([ws.c0**2, 0.0, 0.0]),
+                               np.array([ws.b**2, 0.0, 0.0]))[::-1]
 
 
 def entropy_transform(state: ThermoState, eos: EquationOfState
@@ -496,53 +504,26 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
     return [classify_root(r) for r in roots], regime
 
 
-def _fornberg_weights(order: int, offsets: np.ndarray) -> np.ndarray:
-    """Finite-difference weights for the given derivative order on unit-spaced
-    offsets, from the Vandermonde moment conditions (exact for polynomials of
-    degree < len(offsets))."""
-    n = len(offsets)
-    rhs = np.zeros(n)
-    rhs[order] = math.factorial(order)
-    V = np.vander(offsets, n, increasing=True).T
-    return np.linalg.solve(V, rhs)
-
-
-def _char_poly_deriv(state, eos, xi, tau0, sigma, d, m, step):
-    """m-th xi_d derivative of P(tau0, xi) = det(tau0 I + A(xi) - sigma xi_d I)
-    by central differences on a 9-point stencil (exact for the degree-8
-    determinant polynomial, so the step only controls roundoff)."""
-    K = 4
-    offsets = np.arange(-K, K + 1, dtype=float)
-    w = _fornberg_weights(m, offsets)
-    e_d = unit_vector(d)
-
-    def P(xi_d_shift: float) -> float:
-        xv = xi + xi_d_shift * e_d
-        A = assemble_full_symbol(state, eos, xv)
-        M = tau0 * np.eye(8) + A - sigma * xv[d - 1] * np.eye(8)
-        return float(np.linalg.det(M))
-
-    samples = np.array([P(k * step) for k in offsets])
-    return float(np.sum(w * samples)) / step**m
-
-
 def nonglancing_test(state: ThermoState, eos: EquationOfState,
                      root: CharacteristicRoot, xi, boundary: BoundaryFrame,
                      step_rel: float = 1e-3,
                      tol: float = 1e-8) -> NonglancingResult:
-    """Numerical glancing test for a multiplicity-m root at (state, xi).
+    """Glancing test for a multiplicity-m root at (state, xi).
 
     nonglancing: the m-th derivative of det(tau0 I + A(xi) - sigma xi_d I)
-    in xi_d at the root is nonzero, computed on a 9-point central stencil
-    at steps eps and eps/2 with a Richardson consistency refinement.  The
-    derivative is normalized by the same-order tau derivative
+    in xi_d at the root is nonzero.  The determinant is the closed-form
+    factorization of `char_poly_reduced` with tau_tilde = tau0 + u.xi -
+    sigma xi_d, a degree-8 polynomial in the shift of xi_d whose m-th
+    coefficient gives the derivative exactly.  The derivative is
+    normalized by the same-order tau derivative
     m! * prod_{j not in root}(lambda_j - lambda_root) -- the two differ
     exactly by the product of the branch group velocities -- so the
     scale-relative tolerance acts in velocity units.  totally: all m
     branch group velocities d(lambda)/d(xi_d) - sigma share one sign, the
-    branches being tracked by continuity through xi_d -> xi_d +- eps.
-    Raises DegenerateBranchMatching when the continuation window is
-    ambiguous.
+    branches being tracked by continuity through xi_d -> xi_d +- eps with
+    eps = step_rel * |xi|.  Raises ValueError when root.lam is not an
+    eigenvalue of multiplicity m at xi, and DegenerateBranchMatching when
+    the continuation window is ambiguous.
     """
     if boundary is None:
         raise MissingBoundary("nonglancing_test requires boundary data")
@@ -555,29 +536,40 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     vel_scale = max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
     eps = step_rel * xin
 
-    lam_frame = root.lam - sigma * xi[d - 1]
-    tau0 = -lam_frame
-
     # same-order tau derivative of P at the root: the sigma shift cancels in
     # the eigenvalue gaps
     gap_product = math.factorial(m)
+    matched = False
     for other in eigenvalues(state, eos, xi):
         if abs(other.lam - root.lam) <= 1e-9 * xin * vel_scale:
             if other.multiplicity != m:
                 raise ValueError(
                     f"root multiplicity {m} does not match the spectrum "
                     f"(found {other.multiplicity} at lambda = {other.lam})")
+            matched = True
             continue
         gap_product *= (other.lam - root.lam) ** other.multiplicity
+    if not matched:
+        raise ValueError(f"lambda = {root.lam} is not an eigenvalue at this xi")
     denom = abs(gap_product) * vel_scale**m
 
-    d1 = _char_poly_deriv(state, eos, xi, tau0, sigma, d, m, eps)
-    d2 = _char_poly_deriv(state, eos, xi, tau0, sigma, d, m, eps / 2.0)
-    deriv = d2 + (d2 - d1) / 3.0  # Richardson refinement of the central stencil
+    # in the shift t of xi_d, at tau0 = sigma xi_d - lambda_root:
+    # tau_tilde = u.xi - lambda_root + (u_d - sigma) t, and
+    # |xi x B|^2 = |xi|^2 |B|^2 - (xi.B)^2
+    e_d = unit_vector(d)
+
+    def sq(v0, v1):  # coefficients of |v0 + t v1|^2
+        return np.array([np.dot(v0, v0), 2.0 * np.dot(v0, v1), np.dot(v1, v1)])
+
+    xi_sq = sq(xi, e_d)
+    xi_dot_B_sq = sq(float(xi @ state.B), state.B[d - 1]) / state.rho
+    coef = _factored_char_poly(
+        sq(float(state.u @ xi) - root.lam, state.u[d - 1] - sigma),
+        xi_dot_B_sq, ws.c0**2 * xi_sq, ws.h**2 * xi_sq - xi_dot_B_sq)
+    deriv = math.factorial(m) * float(coef[m])
     nonglancing = abs(deriv) > tol * max(denom, 1e-300)
 
     # Branch group velocities through the root.
-    e_d = unit_vector(d)
     window = 3.0 * eps * vel_scale
 
     def branch_values(sign: float) -> np.ndarray:

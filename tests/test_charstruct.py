@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from mhdstab.errors import (
     SingularTransform,
     ZeroFrequency,
 )
-from mhdstab.thermo import EosEval, EquationOfState, ThermoState
-from mhdstab.symbol import assemble_full_symbol, assemble_tilde_symbol
+from mhdstab.thermo import EosEval, EquationOfState, IdealGas, ThermoState, sound_speed_sq
+from mhdstab.symbol import assemble_full_symbol, assemble_tilde_symbol, unit_vector
 from mhdstab.charstruct import (
     BoundaryFrame,
     Classification,
@@ -26,6 +27,7 @@ from mhdstab.charstruct import (
     tangent_basis,
     wave_speeds,
 )
+from mhdstab.charstruct import _factored_char_poly
 
 from conftest import random_state, random_xi, random_rotation
 
@@ -524,3 +526,132 @@ def test_nonglancing_agrees_with_lemma_condition(gas):
             assert_allclose(res.branch_velocities, [expected] * 2,
                             rtol=1e-5, atol=1e-6)
             assert res.totally == (res.incoming_count == 2 or res.outgoing_count == 2)
+
+
+def test_nonglancing_rejects_root_outside_spectrum(gas):
+    # a value off the spectrum is a caller error, not a branch-matching failure
+    st = ThermoState(rho=1.0, u=[0.3, -0.1, 0.5], theta=1.0, B=[0.8, 0.2, 0.6])
+    xi = [0.4, 1.0, 0.6]
+    roots, regime = classify(st, gas, xi)
+    assert regime.case == "a"
+    entropy = next(r for r in roots if "entropy" in r.families)
+    off = dataclasses.replace(entropy, lam=entropy.lam + 0.37)
+    with pytest.raises(ValueError, match="not an eigenvalue"):
+        nonglancing_test(st, gas, off, xi, BoundaryFrame(axis=3, sigma=0.2))
+
+
+def test_nonglancing_at_glancing_frame_speed(gas):
+    # case (c) with sigma = u_d + s B_d/sqrt(rho): the double at
+    # u.xi + s (xi.B)/sqrt(rho) has both branch velocities zero and is
+    # glancing, the other double stays totally nonglancing; classify
+    # leaves both NotClassified because the frame condition fails
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        rho, theta = 10.0 ** rng.uniform(-1, 1, 2)
+        d = int(rng.integers(1, 4))
+        b_dir = rng.standard_normal(3)
+        b_dir /= np.linalg.norm(b_dir)
+        b_dir[d - 1] = math.copysign(max(abs(b_dir[d - 1]), 0.2), b_dir[d - 1])
+        b_dir /= np.linalg.norm(b_dir)
+        frac = rng.choice([rng.uniform(0.15, 0.75), rng.uniform(1.3, 3.0)])
+        c0 = math.sqrt(sound_speed_sq(gas, ThermoState(rho=rho, theta=theta)))
+        st = ThermoState(rho=rho, u=rng.uniform(-2, 2, 3), theta=theta,
+                         B=frac * math.sqrt(rho) * c0 * b_dir)
+        xi = rng.choice([-1.0, 1.0]) * b_dir * 10.0 ** rng.uniform(-1, 1)
+        s_hit = rng.choice([-1.0, 1.0])
+        boundary = BoundaryFrame(
+            axis=d, sigma=st.u[d - 1] + s_hit * st.B[d - 1] / math.sqrt(rho))
+        roots, regime = classify(st, gas, xi, boundary=boundary)
+        assert regime.case == "c"
+        doubles = [r for r in roots
+                   if r.multiplicity == 2 and "entropy" not in r.families]
+        assert [r.classification for r in doubles] == [NOT, NOT]
+        alf_xi = float(xi @ st.B) / math.sqrt(rho)
+        # central differences at step 1e-3 |xi|: exact on the Alfven branch,
+        # O(1e-6) relative on the slow or fast one
+        vel_scale = max(wave_speeds(st, gas, xi).c_f, np.linalg.norm(st.u),
+                        abs(boundary.sigma))
+        for root in doubles:
+            res = nonglancing_test(st, gas, root, xi, boundary)
+            if np.sign((root.lam - st.u @ xi) / alf_xi) == s_hit:
+                assert not res.nonglancing and not res.totally
+                assert_allclose(res.branch_velocities, [0.0, 0.0],
+                                atol=1e-6 * vel_scale)
+            else:
+                assert res.totally
+
+
+class _QuadraticPressure(EquationOfState):
+    """Synthetic law with a non-ideal P_theta: P = rho theta (1 + 0.3 rho theta),
+    e = 1.5 theta + 0.2 theta^2."""
+
+    def evaluate(self, rho, theta):
+        return EosEval(P=rho * theta * (1.0 + 0.3 * rho * theta),
+                       P_rho=theta * (1.0 + 0.6 * rho * theta),
+                       P_theta=rho * (1.0 + 0.6 * rho * theta),
+                       e=1.5 * theta + 0.2 * theta**2, e_theta=1.5 + 0.4 * theta)
+
+
+def _quadratic(f):
+    """Increasing-power coefficients of a quadratic f(t) from f(-1), f(0), f(1)."""
+    fm, f0, fp = f(-1.0), f(0.0), f(1.0)
+    return np.array([f0, 0.5 * (fp - fm), 0.5 * (fp + fm) - f0])
+
+
+@pytest.mark.parametrize("eos", [IdealGas(R=1.0, c_v=1.5), _QuadraticPressure()],
+                         ids=["ideal-gas", "quadratic-pressure"])
+def test_factored_char_poly_matches_shifted_determinant(eos):
+    # P(t) = det(tau0 I + A(xi + t e_d) - sigma (xi_d + t) I) from the
+    # factorization, against the 8x8 determinant and the glancing derivative
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        st = ThermoState(rho=10.0 ** rng.uniform(-1, 1), u=rng.uniform(-2, 2, 3),
+                         theta=10.0 ** rng.uniform(-1, 1), B=rng.uniform(-2, 2, 3))
+        xi = random_xi(rng)
+        d = int(rng.integers(1, 4))
+        e_d = unit_vector(d)
+        sigma = rng.uniform(-3, 3)
+        c0_sq = sound_speed_sq(eos, st)
+        speed = math.sqrt(c0_sq + st.B @ st.B / st.rho)  # bounds every wave speed
+
+        def factors(tau0):
+            def at(f):
+                return _quadratic(lambda t: f(xi + t * e_d))
+            return (at(lambda x: (tau0 + st.u @ x - sigma * x[d - 1]) ** 2),
+                    at(lambda x: (x @ st.B) ** 2 / st.rho),
+                    at(lambda x: c0_sq * (x @ x)),
+                    at(lambda x: np.sum(np.cross(x, st.B) ** 2) / st.rho))
+
+        tau0 = rng.uniform(-3, 3) * np.linalg.norm(xi)
+        coef = _factored_char_poly(*factors(tau0))
+        for t in rng.uniform(-1, 1, 4) * np.linalg.norm(xi):
+            x = xi + t * e_d
+            det = np.linalg.det((tau0 - sigma * x[d - 1]) * np.eye(8)
+                                + assemble_full_symbol(st, eos, x))
+            scale = (abs(tau0 + st.u @ x - sigma * x[d - 1])
+                     + speed * np.linalg.norm(x)) ** 8
+            assert abs(np.polyval(coef[::-1], t) - det) <= 1e-10 * scale
+
+        # derivative_value of the fast+ root, whose branch stays clear of the
+        # others, is coef[1] at tau0 = sigma xi_d - lambda up to the roundoff
+        # of the coefficient arithmetic, bounded by the |.|-majorant
+        fast = eigenvalues(st, eos, xi)[-1]
+        res = nonglancing_test(st, eos, fast, xi, BoundaryFrame(axis=d, sigma=sigma))
+        T, F, C, X = factors(sigma * xi[d - 1] - fast.lam)
+        majorant = _factored_char_poly(abs(T), -abs(F), -abs(C), -abs(X))[1]
+        assert (abs(res.derivative_value - _factored_char_poly(T, F, C, X)[1])
+                <= 1e-12 * majorant)
+
+
+@pytest.mark.parametrize("eos", [IdealGas(R=1.0, c_v=1.5), _QuadraticPressure()],
+                         ids=["ideal-gas", "quadratic-pressure"])
+def test_char_poly_reduced_matches_expanded_coefficients(eos):
+    rng = np.random.default_rng(45)
+    for _ in range(100):
+        st = random_state(rng)
+        xi = random_xi(rng)
+        ws = wave_speeds(st, eos, xi)
+        a_sq, h_sq, c0_sq = ws.a**2, ws.h**2, ws.c0**2
+        expected = [1.0, 0.0, -(c0_sq + h_sq + a_sq), 0.0, a_sq * (2.0 * c0_sq + h_sq),
+                    0.0, -(a_sq**2) * c0_sq, 0.0, 0.0]
+        assert_allclose(char_poly_reduced(st, eos, xi), expected, rtol=1e-13, atol=0)

@@ -602,3 +602,25 @@ def test_b_to_zero_study_small_grid(gas):
     assert zero_row.deviation == 0.0
     assert_allclose(study.reference_min_abs_D, zero_row.min_abs_D)
     assert study.deviations_monotone
+
+
+def test_scan_even_under_antipodal_map(gas):
+    # (tau, eta) -> (-tau, -eta) sends G to -conj(G), hence E_minus and the
+    # shock operator's front vector to their conjugates, so |D| is even for
+    # the shock operator and for every real matrix operator (not for a
+    # complex one); the equator points exercise the continuation
+    grid = _mixed_grid(40, 64)
+    antipodes = ExplicitGrid([BoundaryFrequency(-zf.tau, zf.gamma_L, -zf.eta)
+                              for zf in grid.points()])
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, -0.1, 0.3])
+    sh = rankine_hugoniot(gas, up, family="fast", mach=1.7, d=3)
+    st = SUBSONIC_STATE
+    M = np.random.default_rng(65).standard_normal((n_positive(st, gas, 3), 8))
+    for scan in (lambda g: shock_scan(sh, g, polish_rounds=0),
+                 lambda g: uniform_scan(st, gas, 3, M, g, polish_rounds=0)):
+        res, anti = scan(grid), scan(antipodes)
+        assert len(res.rows) == len(anti.rows) > 0
+        assert_allclose([row[4:] for row in anti.rows],
+                        [row[4:] for row in res.rows], rtol=0, atol=1e-12)
+        assert ([f["index"] for f in anti.failures]
+                == [f["index"] for f in res.failures])
