@@ -231,7 +231,12 @@ def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
     sum to 8.  Classification is NotClassified; use `classify` for labels.
     """
     xi, xin = _check_xi(xi)
-    ws = wave_speeds(state, eos, xi)
+    return _merged_roots(state, xi, xin, wave_speeds(state, eos, xi), tol_merge)
+
+
+def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds,
+                  tol_merge: float = 1e-9) -> list[CharacteristicRoot]:
+    """`eigenvalues` from the caller's checked xi, |xi| and wave speeds."""
     base = float(state.u @ xi)
 
     entries = [
@@ -466,8 +471,8 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
     """
     xi, xin = _check_xi(xi)
     regime = _detect_regime(state, eos, xi, tol_manifold)
-    roots = eigenvalues(state, eos, xi, tol_merge=tol_merge)
     ws = wave_speeds(state, eos, xi)
+    roots = _merged_roots(state, xi, xin, ws, tol_merge)
     band = tol_merge * xin * _speed_scale(ws, state)
 
     def classify_root(root: CharacteristicRoot) -> CharacteristicRoot:
@@ -521,9 +526,11 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     scale-relative tolerance acts in velocity units.  totally: all m
     branch group velocities d(lambda)/d(xi_d) - sigma share one sign, the
     branches being tracked by continuity through xi_d -> xi_d +- eps with
-    eps = step_rel * |xi|.  Raises ValueError when root.lam is not an
-    eigenvalue of multiplicity m at xi, and DegenerateBranchMatching when
-    the continuation window is ambiguous.
+    eps = step_rel * |xi|.  The entropy double needs no tracking: its
+    branches are exactly lambda = u . xi, so both velocities are u_d -
+    sigma, however close another root sits.  Raises ValueError when
+    root.lam is not an eigenvalue of multiplicity m at xi, and
+    DegenerateBranchMatching when the continuation window is ambiguous.
     """
     if boundary is None:
         raise MissingBoundary("nonglancing_test requires boundary data")
@@ -540,7 +547,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     # the eigenvalue gaps
     gap_product = math.factorial(m)
     matched = False
-    for other in eigenvalues(state, eos, xi):
+    for other in _merged_roots(state, xi, xin, ws):
         if abs(other.lam - root.lam) <= 1e-9 * xin * vel_scale:
             if other.multiplicity != m:
                 raise ValueError(
@@ -586,9 +593,11 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
                 f"{eps:.3e}: separation {dist[order[m]]:.3e}")
         return np.sort(evs[order[:m]])
 
-    plus = branch_values(+1.0)
-    minus = branch_values(-1.0)
-    velocities = (plus - minus) / (2.0 * eps) - sigma
+    if root.families == (FAMILY_ENTROPY,):
+        # the entropy branches are exactly lambda = u . xi: both move at u_d
+        velocities = np.full(m, float(state.u[d - 1]) - sigma)
+    else:
+        velocities = (branch_values(+1.0) - branch_values(-1.0)) / (2.0 * eps) - sigma
 
     vel_tol = tol * vel_scale
     incoming = int(np.sum(velocities > vel_tol))

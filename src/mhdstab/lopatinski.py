@@ -17,6 +17,12 @@ Conventions, fixed once here and used consistently:
     at gamma_L = eps_cont on the same (tau, eta) and reuse that splitting.
   * |D| is computed from orthonormal bases of E_minus and ker M, making it
     basis independent and confined to [0, 1].
+  * Scans evaluate stacks of rows (tau, gamma_L, eta1, eta2) at once:
+    E_minus per side from a batched `eig` plus QR, orthonormal rows V
+    spanning range(M^H) (one SVD per scan for a constant operator, a
+    closed form for the shock operator), and a batched det(V E).  The
+    per-point path (ordered Schur, SVD of M) is the reference, and the
+    fallback for every row the batch cannot trust.
 
 Shock problems are folded to one side by reflection.  A planar shock with
 upstream (left, x_d < 0) and downstream (right, x_d > 0) states in the
@@ -40,6 +46,8 @@ complement of b_f, leaving a rank-7 operator on the 16-dimensional trace.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -139,6 +147,11 @@ class BoundaryFrequency:
         return cls(tau=d["tau"], gamma_L=d["gamma_L"], eta=d["eta"])
 
 
+def _frequency(row: np.ndarray) -> BoundaryFrequency:
+    """The point of one (tau, gamma_L, eta1, eta2) row."""
+    return BoundaryFrequency(row[0], row[1], row[2:4])
+
+
 def _fibonacci_sphere(n: int, azimuth_offset: float = 0.0) -> np.ndarray:
     """n nearly uniform points on S^2 as rows (x, y, z); deterministic."""
     i = np.arange(n, dtype=float)
@@ -174,18 +187,21 @@ class HemisphereGrid:
         return HemisphereGrid(self.n_phi * k, self.n_sphere * k, self.equator_refine)
 
     def points(self) -> list[BoundaryFrequency]:
-        pts: list[BoundaryFrequency] = []
+        return [_frequency(row) for row in self._rows()]
+
+    def _rows(self) -> np.ndarray:
+        """The points as (N, 4) rows (tau, gamma_L, eta1, eta2)."""
+        blocks = []
         for j in range(self.n_phi):
             psi = (j + 0.5) / self.n_phi * (0.5 * math.pi)
             gamma = math.cos(psi)
             ring = math.sin(psi)
-            sphere = _fibonacci_sphere(self.n_sphere, azimuth_offset=j * 2.399963)
-            for x, y, z in sphere:
-                pts.append(BoundaryFrequency(ring * z, gamma, (ring * x, ring * y)))
-        equator = _fibonacci_sphere(self.equator_refine * self.n_sphere)
-        for x, y, z in equator:
-            pts.append(BoundaryFrequency(z, 0.0, (x, y)))
-        return pts
+            x, y, z = _fibonacci_sphere(self.n_sphere, azimuth_offset=j * 2.399963).T
+            blocks.append(np.column_stack([ring * z, np.full_like(z, gamma),
+                                           ring * x, ring * y]))
+        x, y, z = _fibonacci_sphere(self.equator_refine * self.n_sphere).T
+        blocks.append(np.column_stack([z, np.zeros_like(z), x, y]))
+        return np.concatenate(blocks)
 
     def describe(self) -> dict:
         return {"kind": "hemisphere", "n_phi": self.n_phi,
@@ -208,6 +224,10 @@ class ExplicitGrid:
 
     def points(self) -> list[BoundaryFrequency]:
         return list(self.frequencies)
+
+    def _rows(self) -> np.ndarray:
+        return np.array([(zf.tau, zf.gamma_L, *zf.eta)
+                         for zf in self.frequencies]).reshape(-1, 4)
 
     def describe(self) -> dict:
         return {"kind": "explicit", "n_points": self.n_points}
@@ -244,9 +264,13 @@ class _Side:
             for t in _tangential_axes(d))
         self.dim = int(np.sum(sign * np.linalg.eigvals(A_d).real > 0.0))
 
-    def G(self, zf: BoundaryFrequency) -> np.ndarray:
-        return ((zf.tau - 1j * zf.gamma_L) * self.a_d_inv
-                + zf.eta[0] * self.a_t1 + zf.eta[1] * self.a_t2)
+    def G(self, zf) -> np.ndarray:
+        """s G at a BoundaryFrequency, or stacked at each row of an (N, 4) array."""
+        if isinstance(zf, BoundaryFrequency):
+            zf = (zf.tau, zf.gamma_L, *zf.eta)
+        tau, gamma_L, eta1, eta2 = np.asarray(zf, dtype=float).T[..., None, None]
+        return ((tau - 1j * gamma_L) * self.a_d_inv
+                + eta1 * self.a_t1 + eta2 * self.a_t2)
 
 
 def _tangential_axes(d: int) -> tuple[int, int]:
@@ -263,10 +287,12 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
     """Orthonormal basis of the invariant subspace of G for {Im mu < 0}.
 
     Computed by an ordered complex Schur reduction with the Im mu < 0
-    eigenvalues sorted first.  At the hemisphere boundary (gamma_L = 0,
-    extended to gamma_L <= 1e-8 where the gap is numerically untrustable)
-    the limit subspace is taken by continuation: the same (tau, eta)
-    evaluated at gamma_L = eps_cont, which shifts G by
+    eigenvalues sorted first.  This is the per-point reference: scans take
+    E_minus from a batched eigendecomposition plus QR and come back here
+    only for the rows the batch cannot trust.  At the hemisphere boundary
+    (gamma_L = 0, extended to gamma_L <= 1e-8 where the gap is numerically
+    untrustable) the limit subspace is taken by continuation: the same
+    (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
     -i (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
     Raises SpectralSplitFailure when the spectral gap is below min_gap
     while gamma_L > 1e-8.
@@ -304,6 +330,9 @@ class BoundaryOperator:
         self._evaluator = evaluator
         self.n = int(n)
         self.p = int(p)
+        # for scans, see `_range_rows`
+        self._constant = False
+        self._closed_form = None
 
     @property
     def kernel_dim(self) -> int:
@@ -312,7 +341,9 @@ class BoundaryOperator:
     @classmethod
     def from_matrix(cls, M) -> "BoundaryOperator":
         M = np.atleast_2d(np.asarray(M, dtype=complex))
-        return cls(lambda zf: M, n=M.shape[1], p=M.shape[0])
+        op = cls(lambda zf: M, n=M.shape[1], p=M.shape[0])
+        op._constant = True
+        return op
 
     def matrix(self, zf: BoundaryFrequency | None = None) -> np.ndarray:
         M = np.atleast_2d(np.asarray(self._evaluator(zf), dtype=complex))
@@ -451,50 +482,136 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
     return _ScanProblem((_Side(state, eos, d, tol_det),), operator)
 
 
+_CHUNK = 256  # rows per batched evaluation of the sweep; bounds the stacked arrays
+
+
+def _svd_rows(M: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V^H of each thin SVD in a stack; ok narrowed by `_right_singular_rows`' test."""
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    if s.shape[-1]:
+        ok = ok & (s[:, -1] > 1e-10 * np.maximum(s[:, 0], 1e-300))
+    return vh, ok
+
+
+def _range_rows(operator: BoundaryOperator):
+    """Once per scan: P -> (V, ok), V orthonormal rows spanning range(M^H) at each
+    row of P (a stack of one for a constant M), ok where M evaluated at full rank."""
+    if operator._closed_form is not None:
+        return operator._closed_form
+    if operator._constant:
+        V, ok = _svd_rows(operator.matrix()[None], np.ones(1, dtype=bool))
+        return lambda P: (V, ok)
+
+    def per_point(P: np.ndarray):
+        M = np.zeros((len(P), operator.p, operator.n), dtype=complex)
+        ok = np.ones(len(P), dtype=bool)
+        for i, row in enumerate(P):
+            try:
+                M[i] = operator.matrix(_frequency(row))
+            except MhdStabError:
+                ok[i] = False
+        return _svd_rows(M, ok)
+    return per_point
+
+
+def _abs_det(V: np.ndarray, bases) -> np.ndarray:
+    """min(|det(V E)|, 1) for E the direct sum of the sides' bases, taken side
+    by side; V and the bases may carry a leading stack axis."""
+    VE = np.concatenate([V[..., 8 * i:8 * (i + 1)] @ E
+                         for i, E in enumerate(bases)], axis=-1)
+    return np.minimum(np.abs(np.linalg.det(VE)), 1.0)
+
+
+def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
+                 eps_cont: float) -> float:
+    """|D| at one point on the reference path: ordered Schur and dim E_minus
+    check per side, SVD of M at zf.  Raises the point's MhdStabError."""
+    bases = []
+    for i, side in enumerate(problem.sides):
+        E = stable_subspace(side.G(zf), zf.gamma_L, a_d_inv=side.a_d_inv,
+                            eps_cont=eps_cont)
+        # checked at continuation points too: a shift of the wrong sign
+        # shows there as a wrong dimension
+        if E.shape[1] != side.dim:
+            raise SpectralSplitFailure(
+                f"side {i}: dim E_minus = {E.shape[1]}, expected {side.dim}")
+        bases.append(E)
+    V = _right_singular_rows(problem.operator.matrix(zf), full_matrices=False)
+    p, n = V.shape
+    if problem.expected_dim != p:
+        raise DimensionMismatch(
+            f"dim E_minus ({problem.expected_dim}) + dim ker M ({n - p}) != {n}")
+    return float(_abs_det(V, bases))
+
+
+def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
+              eps_cont: float) -> tuple[np.ndarray, dict]:
+    """|D| at each (tau, gamma_L, eta1, eta2) row of P, and the MhdStabError
+    of each failed row by row index (its |D| entry is NaN).
+
+    Per side, E_minus of the stacked G (shifted at continuation rows) is the
+    QR of the Im mu < 0 unit eigenvectors of a batched `eig`; a side of
+    dimension 0 or 8 needs only the sign count.  A row goes to `_point_abs_D`
+    when a count is wrong, min |Im mu| < 1e-8, min |r_ii| < 1e-6 max |r_ii|,
+    or `range_rows` does not vouch for it; so failures come from there.
+    """
+    cont = P[:, 1] <= 1e-8  # as in stable_subspace
+    trusted = np.ones(len(P), dtype=bool)
+    bases = []
+    for side in problem.sides:
+        G = side.G(P)
+        G[cont] -= (1j * (eps_cont - P[cont, 1]))[:, None, None] * side.a_d_inv
+        if side.dim in (0, 8):
+            mu, E = np.linalg.eigvals(G), np.eye(8)[:, :side.dim]
+        else:
+            mu, X = np.linalg.eig(G)
+            stable = np.argsort(mu.imag >= 0.0, axis=1, kind="stable")[:, :side.dim]
+            E, R = np.linalg.qr(np.take_along_axis(X, stable[:, None, :], axis=2))
+            r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            trusted &= r.min(axis=1) >= 1e-6 * r.max(axis=1)
+        trusted &= ((np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
+                    & (np.abs(mu.imag).min(axis=1) >= 1e-8))
+        bases.append(E)
+    V, ok = range_rows(P)
+    trusted &= ok
+    if V.shape[-2] == problem.expected_dim:
+        abs_D = np.broadcast_to(_abs_det(V, bases), len(P)).copy()
+    else:  # no row can pass the dimension check
+        abs_D = np.zeros(len(P))
+        trusted[:] = False
+    errors = {}
+    for i in np.flatnonzero(~trusted):
+        try:
+            abs_D[i] = _point_abs_D(problem, _frequency(P[i]), eps_cont)
+        except MhdStabError as exc:
+            abs_D[i] = np.nan
+            errors[int(i)] = exc
+    return abs_D, errors
+
+
 def _scan(problem: _ScanProblem, grid, eps_cont: float,
           polish_rounds: int) -> ScanResult:
     if grid is None:
         grid = HemisphereGrid()
-    points = grid.points()
-    rows: list[tuple] = []
+    P = (grid if hasattr(grid, "_rows") else ExplicitGrid(grid.points()))._rows()
+    evaluate = functools.partial(_evaluate, problem, _range_rows(problem.operator),
+                                 eps_cont=eps_cont)
+    values = np.empty(len(P))
     failures: list[dict] = []
-    histogram = [0] * 20
-    min_abs = None
-    argmin = None
-
-    def evaluate(zf: BoundaryFrequency) -> tuple[float, int]:
-        bases = []
-        for i, side in enumerate(problem.sides):
-            E = stable_subspace(side.G(zf), zf.gamma_L, a_d_inv=side.a_d_inv,
-                                eps_cont=eps_cont)
-            # checked at continuation points too: a shift of the wrong sign
-            # shows there as a wrong dimension
-            if E.shape[1] != side.dim:
-                raise SpectralSplitFailure(
-                    f"side {i}: dim E_minus = {E.shape[1]}, expected {side.dim}")
-            bases.append(E)
-        V = _right_singular_rows(problem.operator.matrix(zf), full_matrices=False)
-        # V E for E the direct sum of the sides' bases, taken side by side
-        VE = np.hstack([V_side @ E
-                        for V_side, E in zip(np.hsplit(V, len(bases)), bases)])
-        (p, k), n = VE.shape, V.shape[1]
-        if k != p:
-            raise DimensionMismatch(f"dim E_minus ({k}) + dim ker M ({n - p}) != {n}")
-        return min(float(abs(np.linalg.det(VE))), 1.0), k
-
-    for idx, zf in enumerate(points):
-        try:
-            abs_D, dim = evaluate(zf)
-        except MhdStabError as exc:
-            failures.append({"index": idx, "zeta": zf.to_dict(),
-                             "type": type(exc).__name__, "message": str(exc)})
-            continue
-        rows.append((zf.tau, zf.gamma_L, float(zf.eta[0]), float(zf.eta[1]),
-                     abs_D, dim))
-        histogram[min(int(abs_D * 20.0), 19)] += 1
-        if min_abs is None or abs_D < min_abs:
-            min_abs = abs_D
-            argmin = zf
+    for start in range(0, len(P), _CHUNK):
+        values[start:start + _CHUNK], errors = evaluate(P[start:start + _CHUNK])
+        failures += [{"index": start + i, "zeta": _frequency(P[start + i]).to_dict(),
+                      "type": type(exc).__name__, "message": str(exc)}
+                     for i, exc in errors.items()]
+    ok = ~np.isnan(values)
+    rows = [(*row, abs_D, problem.expected_dim)
+            for row, abs_D in zip(P[ok].tolist(), values[ok].tolist())]
+    histogram = np.bincount(np.minimum((values[ok] * 20.0).astype(int), 19),
+                            minlength=20).tolist()
+    min_abs = argmin = None
+    if ok.any():
+        best = int(np.flatnonzero(ok)[np.argmin(values[ok])])  # first minimum
+        min_abs, argmin = float(values[best]), _frequency(P[best])
 
     sweep_min, sweep_argmin = min_abs, argmin
     polish_info: dict = {"rounds": 0}
@@ -514,7 +631,7 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
         failures=failures,
         histogram=histogram,
         expected_dim=problem.expected_dim,
-        n_points=len(points),
+        n_points=len(P),
         grid=grid.describe(),
         polish=polish_info,
     )
@@ -527,6 +644,11 @@ def _polish_radius(grid) -> float | None:
     return None
 
 
+# One polish round's 5^3 - 1 = 124 offsets in tangent-frame units, c3 fastest.
+_POLISH_OFFSETS = np.array([c for c in itertools.product(
+    (-1.0, -0.5, 0.0, 0.5, 1.0), repeat=3) if any(c)])
+
+
 def _polish_min(evaluate, zf0: BoundaryFrequency, abs0: float, rounds: int,
                 radius: float, failures: list[dict]) -> tuple[float, BoundaryFrequency, int]:
     """Deterministic local refinement of the sweep argmin.
@@ -535,43 +657,33 @@ def _polish_min(evaluate, zf0: BoundaryFrequency, abs0: float, rounds: int,
     circle on the gamma_L = 0 equator, where grid sampling converges only
     linearly in the spacing; a few rounds of shrinking lattice search around
     the argmin recover the valley bottom to high accuracy at negligible
-    cost.  Points are projected back to the closed hemisphere.
+    cost.  Points are projected back to the closed hemisphere.  Each
+    round's lattice is one batched evaluation; its winner is the first
+    lattice point, in lattice order, of least |D| below the best so far.
     """
     center = np.array([zf0.tau, zf0.gamma_L, zf0.eta[0], zf0.eta[1]])
     best_val, best_zf = abs0, zf0
-    offsets = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
     n_eval = 0
     for round_idx in range(rounds):
         # orthonormal tangent frame of the unit 3-sphere at the center
         q, _ = np.linalg.qr(np.column_stack([center, np.eye(4)]))
-        tangent = q[:, 1:4]
-        new_center = center
-        for c1 in offsets:
-            for c2 in offsets:
-                for c3 in offsets:
-                    if c1 == c2 == c3 == 0.0:
-                        continue
-                    p = center + radius * (tangent @ np.array([c1, c2, c3]))
-                    if p[1] < 1e-12:  # snap to the equator face
-                        p[1] = 0.0
-                    norm = float(np.linalg.norm(p))
-                    if norm == 0.0:
-                        continue
-                    p = p / norm
-                    zf = BoundaryFrequency(p[0], p[1], p[2:4])
-                    n_eval += 1
-                    try:
-                        val, _ = evaluate(zf)
-                    except MhdStabError as exc:
-                        failures.append({
-                            "stage": "polish", "round": round_idx,
-                            "zeta": zf.to_dict(),
-                            "type": type(exc).__name__, "message": str(exc)})
-                        continue
-                    if val < best_val:
-                        best_val, best_zf = val, zf
-                        new_center = p
-        center = new_center
+        # a matrix-vector and a dot product per point, as a point loop takes
+        lattice = center + radius * (q[:, 1:4] @ _POLISH_OFFSETS[:, :, None])[..., 0]
+        lattice[lattice[:, 1] < 1e-12, 1] = 0.0  # snap to the equator face
+        norm = np.sqrt((lattice[:, None, :] @ lattice[:, :, None]).ravel())
+        lattice = lattice[norm != 0.0] / norm[norm != 0.0, None]
+        n_eval += len(lattice)
+        values, errors = evaluate(lattice)
+        failures += [{"stage": "polish", "round": round_idx,
+                      "zeta": _frequency(lattice[i]).to_dict(),
+                      "type": type(exc).__name__, "message": str(exc)}
+                     for i, exc in errors.items()]
+        ok = np.flatnonzero(~np.isnan(values))
+        if ok.size:
+            i = int(ok[np.argmin(values[ok])])
+            if values[i] < best_val:
+                best_val, best_zf = float(values[i]), _frequency(lattice[i])
+                center = lattice[i]
         radius *= 0.35
     return best_val, best_zf, n_eval
 
@@ -949,7 +1061,11 @@ def shock_boundary_operator(shock: PlanarShock,
     sign conventions.  With `zf` supplied, the operator is frozen at that
     frequency; otherwise it is frequency dependent.  Raises RankDeficiency
     (possibly at evaluation time) when the front coefficient degenerates,
-    e.g. for a zero-strength shock.
+    e.g. for a zero-strength shock.  Scans skip the SVD of M: with N_pair^H
+    = W R, the rows of M = H(b_hat)[1:] R^H W^H span {y W^H : y g = 0}, g =
+    R^{-H} b_f, as do the orthonormal rows of H(g_hat)[1:] W^H.  By
+    interlacing, s_7(M) >= s_8(N_pair) and s_1(M) <= s_1(N_pair), so M
+    passes the rank test wherever N_pair does; if not, scans take its SVD.
     """
     d = shock.axis
     eos = shock.eos
@@ -978,27 +1094,50 @@ def shock_boundary_operator(shock: PlanarShock,
                   + float(np.linalg.norm(bt_jump)))
     N_pair = np.hstack([N_r, -N_l]).astype(complex)
 
+    def front(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """b_f / |b_f| at the rows of P, and the rows where b_f does not degenerate."""
+        s = P[:, 1] + 1j * P[:, 0]
+        b_f = s[:, None] * q_jump + 1j * (P[:, 2:3] * f_jump[t1] + P[:, 3:4] * f_jump[t2])
+        b_f[:, b_row] = 1j * (P[:, 2] * bt_jump[0] + P[:, 3] * bt_jump[1])
+        zeta_scale = np.abs(s) + np.linalg.norm(P[:, 2:4], axis=1)
+        b_norm = np.linalg.norm(b_f, axis=1)
+        ok = b_norm > 1e-12 * np.maximum(zeta_scale * jump_scale, 1e-300)
+        return b_f / np.where(ok, b_norm, 1.0)[:, None], ok
+
     def evaluate(zf: BoundaryFrequency) -> np.ndarray:
-        s = zf.gamma_L + 1j * zf.tau
-        b_f = s * q_jump + 1j * (zf.eta[0] * f_jump[t1] + zf.eta[1] * f_jump[t2])
-        b_f[b_row] = 1j * (zf.eta[0] * bt_jump[0] + zf.eta[1] * bt_jump[1])
-        zeta_scale = abs(s) + float(np.linalg.norm(zf.eta))
-        b_norm = float(np.linalg.norm(b_f))
-        if b_norm <= 1e-12 * max(zeta_scale * jump_scale, 1e-300):
+        b_hat, ok = front(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
+        if not ok[0]:
             raise RankDeficiency(
                 f"front coefficient degenerates at zeta = {zf.to_dict()}")
-        # Rows 1.. of the Householder reflector H = I - 2 v v^H / (v^H v)
-        # that maps b_hat onto e_0 span the orthogonal complement of b_f.
-        b_hat = b_f / b_norm
-        a0 = abs(b_hat[0])
-        v = b_hat.copy()
-        v[0] += b_hat[0] / a0 if a0 > 0.0 else 1.0
-        return N_pair[1:] - np.outer(v[1:], (2.0 / np.vdot(v, v).real)
-                                     * (v.conj() @ N_pair))
+        return _complement_rows(b_hat, N_pair)[0]
 
     if zf is not None:
         return BoundaryOperator.from_matrix(evaluate(zf))
-    return BoundaryOperator(evaluate, n=16, p=7)
+    op = BoundaryOperator(evaluate, n=16, p=7)
+    W, R = np.linalg.qr(N_pair.conj().T)
+    s = np.linalg.svd(N_pair, compute_uv=False)
+    if s[-1] > 1e-10 * s[0]:
+        R_inv_h = np.linalg.inv(R).conj()  # g as a row: b_f^T conj(R^{-1})
+
+        def closed_form(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            b_hat, ok = front(P)
+            g = np.where(ok[:, None], b_hat, 1.0) @ R_inv_h
+            g /= np.linalg.norm(g, axis=1)[:, None]
+            return _complement_rows(g, W.conj().T), ok
+        op._closed_form = closed_form
+    return op
+
+
+def _complement_rows(u: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Rows 1.. of H X, H = I - 2 v v^H / (v^H v) with v = u + phase(u_0) e_0
+    the reflector mapping the unit row u onto e_0's span, for each u of a
+    stack: they span {y X : y u = 0}, orthonormal when X's rows are."""
+    a0 = np.abs(u[:, 0])
+    v = u.copy()
+    v[:, 0] += np.divide(u[:, 0], a0, out=np.ones(len(u), dtype=complex),
+                         where=a0 > 0.0)
+    w = (2.0 / np.sum(np.abs(v) ** 2, axis=1))[:, None] * (v.conj() @ X)
+    return X[1:] - v[:, 1:, None] * w[:, None, :]
 
 
 def _shock_problem(shock: PlanarShock, tol_det: float) -> _ScanProblem:

@@ -477,6 +477,23 @@ def test_nonglancing_flow_aligned_entropy_root_is_glancing(gas):
     assert_allclose(res.branch_velocities, [0.0, 0.0], atol=1e-7)
 
 
+def test_nonglancing_entropy_double_next_to_slow_pair(gas):
+    # the slow pair sits about 0.0027 |xi| from the entropy double, inside
+    # the branch-tracking window; the entropy branches are exactly u . xi,
+    # so the verdict needs no tracking: both velocities are u_d - sigma
+    st = ThermoState(rho=1.0, u=[0.3, -0.2, 0.5], theta=1.0, B=[1.0, 0, 0])
+    xi = np.array([0.004, 1.0, 0.0])
+    boundary = BoundaryFrame(axis=3, sigma=-0.4)
+    roots, regime = classify(st, gas, xi, boundary=boundary)
+    assert regime.case == "a"
+    entropy = [r for r in roots if r.families == ("entropy",)]
+    assert len(entropy) == 1 and entropy[0].multiplicity == 2
+    res = nonglancing_test(st, gas, entropy[0], xi, boundary)
+    assert res.nonglancing and res.totally
+    assert (res.incoming_count, res.outgoing_count) == (2, 0)
+    assert_allclose(res.branch_velocities, [0.9, 0.9], rtol=1e-15)
+
+
 def test_nonglancing_reports_ambiguous_branches(gas):
     # fast root separated from the Alfven/slow doubles by ~5e-4: inside the
     # continuation window at the default step, so matching must refuse

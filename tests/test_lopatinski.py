@@ -7,6 +7,7 @@ import scipy.linalg
 from mhdstab.errors import (
     CharacteristicBoundary,
     DimensionMismatch,
+    MhdStabError,
     NoAdmissibleShock,
     RankDeficiency,
 )
@@ -32,6 +33,15 @@ from mhdstab.lopatinski import (
     shock_scan,
     stable_subspace,
     uniform_scan,
+)
+from mhdstab.lopatinski import (
+    _CHUNK,
+    _ScanProblem,
+    _one_sided_problem,
+    _polish_min,
+    _right_singular_rows,
+    _scan,
+    _shock_problem,
 )
 
 SUBSONIC_STATE = ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0,
@@ -624,3 +634,159 @@ def test_scan_even_under_antipodal_map(gas):
                         [row[4:] for row in res.rows], rtol=0, atol=1e-12)
         assert ([f["index"] for f in anti.failures]
                 == [f["index"] for f in res.failures])
+
+
+# ----------------------------------------------------------------------------
+# batched scan engine against the per-point reference
+# ----------------------------------------------------------------------------
+
+def _oracle(gas, sides, d, operator, grid):
+    """|D| rows and failures (index, type, message) of the per-point
+    reference: stable_subspace + lopatinski_det at every point."""
+    rows, failures = [], []
+    for i, zf in enumerate(grid.points()):
+        try:
+            rows.append(_reference_abs_D(gas, sides, d, operator, zf))
+        except MhdStabError as exc:
+            failures.append((i, type(exc).__name__, str(exc)))
+    return rows, failures
+
+
+def _failure_list(res):
+    return [(f["index"], f["type"], f["message"]) for f in res.failures]
+
+
+def _count_fallbacks(monkeypatch):
+    """Count the scan's per-point stable_subspace calls."""
+    from mhdstab import lopatinski
+
+    calls = []
+    monkeypatch.setattr(lopatinski, "stable_subspace",
+                        lambda *a, _f=lopatinski.stable_subspace, **k:
+                        calls.append(a[1]) or _f(*a, **k))
+    return calls
+
+
+def test_batched_scan_matches_per_point_oracle(gas, monkeypatch):
+    # longer than one chunk, every third point on the equator; the B = 0
+    # shock has repeated eigenvalues, the callable operator depends on zeta
+    grid = _mixed_grid(_CHUNK + 44, 70)
+    cases = []
+    for u, B, mach in (([0, 0, 0], [0, 0, 0], 2.0), ([0, 0.1, 0.05], [0.2, -0.1, 0.3], 1.7)):
+        sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=u, theta=1.0, B=B),
+                              family="fast", mach=mach, d=3)
+        cases.append(([(sh.right, 1.0), (sh.left, -1.0)], _shock_problem(sh, 1e-10)))
+    st = SUBSONIC_STATE
+    M0, M1 = np.random.default_rng(66).standard_normal((2, n_positive(st, gas, 3), 8))
+    callable_op = BoundaryOperator(lambda zf: M0 + 1j * zf.tau * M1, n=8, p=len(M0))
+    for M in (M0, callable_op):
+        cases.append(([(st, 1.0)], _one_sided_problem(st, gas, 3, M, 1e-10)))
+    for sides, problem in cases:
+        fallbacks = _count_fallbacks(monkeypatch)
+        res = _scan(problem, grid, 1e-6, polish_rounds=0)
+        monkeypatch.undo()
+        assert fallbacks == []  # every row took the batched path
+        rows, failures = _oracle(gas, sides, 3, problem.operator, grid)
+        assert _failure_list(res) == failures == []
+        assert_allclose([row[4] for row in res.rows], rows, rtol=0, atol=1e-12)
+        assert [row[:4] for row in res.rows] == [(zf.tau, zf.gamma_L, *zf.eta)
+                                                 for zf in grid.points()]
+
+
+def test_batched_scan_degenerate_front_fails_as_oracle(gas, monkeypatch):
+    # the zero-strength front coefficient vanishes, so the operator raises
+    # at every point: each row falls back and fails with the oracle's record
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.3, 0, 0])
+    sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
+    degenerate = shock_boundary_operator(
+        rankine_hugoniot(gas, up, family="fast", mach=1.0, d=3))
+    problem = _ScanProblem(_shock_problem(sh, 1e-10).sides, degenerate)
+    grid = _mixed_grid(_CHUNK + 10, 71)
+    fallbacks = _count_fallbacks(monkeypatch)
+    res = _scan(problem, grid, 1e-6, polish_rounds=0)
+    monkeypatch.undo()
+    assert len(fallbacks) == 2 * grid.n_points  # both sides of every row
+    _, failures = _oracle(gas, [(sh.right, 1.0), (sh.left, -1.0)], 3, degenerate, grid)
+    assert not res.rows and res.min_abs_D is None
+    assert len(failures) == grid.n_points
+    assert _failure_list(res) == failures
+    assert {f[1] for f in failures} == {"RankDeficiency"}
+
+
+def test_polish_takes_first_strict_minimum_in_lattice_order():
+    # two points of round 0's lattice tie below the start value: the first
+    # in lattice order wins; a failed point is reported with its round
+    seen = []
+
+    def evaluate(P):
+        seen.append(P)
+        values = np.ones(len(P))
+        errors = {}
+        if len(seen) == 1:
+            values[[9, 40]] = 0.25
+            values[3] = np.nan
+            errors[3] = RankDeficiency("probe")
+        return values, errors
+
+    zf0 = BoundaryFrequency(0.6, 0.0, [0.0, 0.8])
+    failures = []
+    best, best_zf, n_eval = _polish_min(evaluate, zf0, 0.5, 3, 0.1, failures)
+    assert n_eval == 3 * 124 and [len(P) for P in seen] == [124] * 3
+    assert best == 0.25
+    assert best_zf.to_dict() == BoundaryFrequency(*seen[0][9, :2], seen[0][9, 2:]).to_dict()
+    # the next lattice is centered on the winner, at 0.35 times the radius
+    assert np.linalg.norm(seen[1] - seen[0][9], axis=1).max() <= 2 * 0.035
+    assert failures == [{"stage": "polish", "round": 0,
+                         "zeta": BoundaryFrequency(*seen[0][3, :2], seen[0][3, 2:]).to_dict(),
+                         "type": "RankDeficiency", "message": "probe"}]
+
+
+@pytest.mark.parametrize("B, zf", [
+    ([0.05, 0.0, 0.0], BoundaryFrequency(0.3, 0.4, [0.2, 0.1]).normalized()),
+    ([0.2, -0.1, 0.3], BoundaryFrequency(0.6, 0.0, [0.64, -0.48])),  # gamma_L = 0
+    ([0.0, 0.0, 0.0], BoundaryFrequency(0.0, 0.0, [0.6, 0.8])),  # b_hat_0 = 0
+], ids=["interior", "equator", "zero-mass-component"])
+def test_closed_form_shock_rows_span_range_of_operator(gas, B, zf):
+    """The scan's closed-form rows V are orthonormal, span the rows of
+    op.matrix(zf), and give the |det(V E)| of the SVD route."""
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
+    sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
+    op = shock_boundary_operator(sh)
+    (V,), (ok,) = op._closed_form(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
+    assert ok
+    M = op.matrix(zf)
+    assert_allclose(V @ V.conj().T, np.eye(7), rtol=0, atol=1e-12)
+    assert np.linalg.norm(M - M @ V.conj().T @ V) <= 1e-12 * np.linalg.norm(M)
+    problem = _shock_problem(sh, 1e-10)
+    E = stable_subspace(problem.G_of(zf), zf.gamma_L, a_d_inv=problem.a_d_inv)
+    V_svd = _right_singular_rows(M, full_matrices=False)
+    assert_allclose(abs(np.linalg.det(V @ E)), abs(np.linalg.det(V_svd @ E)),
+                    rtol=0, atol=1e-14)
+
+
+def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
+    # a 2x2 Jordan block inside E_minus: eig returns two nearly parallel
+    # eigenvectors, so the QR test sends every row to the Schur path
+    rng = np.random.default_rng(73)
+    S = rng.standard_normal((8, 8))
+    J = np.diag([-1j, -1j, -2j, -3j, 1j, 2j, 3j, 4j])
+    J[0, 1] = 1.0
+    G0 = S @ J @ np.linalg.inv(S)
+
+    class JordanSide:
+        dim, a_d_inv = 4, np.eye(8)
+
+        def G(self, zf):
+            if isinstance(zf, BoundaryFrequency):
+                return G0
+            return np.repeat(G0[None], len(zf), axis=0)
+
+    M = BoundaryOperator.from_matrix(rng.standard_normal((4, 8)))
+    grid = _mixed_grid(20, 74)
+    fallbacks = _count_fallbacks(monkeypatch)
+    res = _scan(_ScanProblem((JordanSide(),), M), grid, 1e-6, polish_rounds=0)
+    monkeypatch.undo()
+    assert len(fallbacks) == grid.n_points and not res.failures
+    # shifting G by a multiple of I at the equator keeps its invariant subspaces
+    want = lopatinski_det(stable_subspace(G0, 1.0), M).abs_D
+    assert_allclose([row[4] for row in res.rows], want, rtol=0, atol=1e-12)
