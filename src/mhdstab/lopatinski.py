@@ -17,11 +17,25 @@ Conventions, fixed once here and used consistently:
     at gamma_L = eps_cont on the same (tau, eta) and reuse that splitting.
   * |D| is computed from orthonormal bases of E_minus and ker M, making it
     basis independent and confined to [0, 1].
-  * Scans evaluate stacks of rows (tau, gamma_L, eta1, eta2) at once:
-    E_minus per side from a batched `eig` plus QR, orthonormal rows V
-    spanning range(M^H) (one SVD per scan for a constant operator, a
-    closed form for the shock operator), and a batched det(V E).  The
-    per-point path (ordered Schur, SVD of M) is the reference, and the
+  * Scans evaluate stacks of rows (tau, gamma_L, eta1, eta2) at once, with
+    orthonormal rows V spanning range(M^H) (one SVD per scan for a constant
+    operator, a closed form for the shock operator) and E_minus per side:
+      - dimension 0 or 8 (a fast shock's upstream side, supersonic inflow):
+        the Friedrichs symmetrizer S > 0 makes every S A_j symmetric, so
+        x^H S applied to (tau - i gamma) x + eta . A_t x = mu s A_d x, the
+        eigenproblem of s G (s = -1 on a shock's reflected upstream side,
+        see below), gives Im mu = -gamma x^H S x / (s x^H S A_d x).
+        When s A_d^{-1} is definite, every root of s G thus has the sign of
+        Im mu the dimension requires and |Im mu| >= gamma min |lambda(s
+        A_d^{-1})|; rows where that bound clears the gap test need no
+        eigenvalues at all.
+      - dimension 7 (a fast shock's downstream side, an inflow faster than
+        the Alfven speed and slower than the fast speed): E_minus is the orthogonal complement of the left
+        eigenvector w of the single Im mu > 0 root, found by two steps of
+        inverse iteration, and |D| = |det(V E)| = |det([V; w^H])| because
+        [E w] is unitary.
+      - any other dimension: a batched `eig` plus QR.
+    The per-point path (ordered Schur, SVD of M) is the reference, and the
     fallback for every row the batch cannot trust.
 
 Shock problems are folded to one side by reflection.  A planar shock with
@@ -46,7 +60,6 @@ complement of b_f, leaving a rank-7 operator on the 16-dimensional trace.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -288,8 +301,10 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
 
     Computed by an ordered complex Schur reduction with the Im mu < 0
     eigenvalues sorted first.  This is the per-point reference: scans take
-    E_minus from a batched eigendecomposition plus QR and come back here
-    only for the rows the batch cannot trust.  At the hemisphere boundary
+    E_minus without it (a symmetrizer certificate for a side of dimension 0
+    or 8, a left eigenvector's orthogonal complement for dimension 7, a
+    batched eigendecomposition plus QR otherwise) and come back here only
+    for the rows the batch cannot trust.  At the hemisphere boundary
     (gamma_L = 0, extended to gamma_L <= 1e-8 where the gap is numerically
     untrustable) the limit subspace is taken by continuation: the same
     (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
@@ -432,6 +447,7 @@ class ScanResult:
     n_points: int
     grid: dict
     polish: dict
+    n_fallback: int  # sweep and polish rows evaluated on the per-point path
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -454,6 +470,7 @@ class ScanResult:
             "n_rows": len(self.rows),
             "failures": self.failures,
             "histogram": self.histogram,
+            "diagnostics": {"n_fallback": self.n_fallback},
         }
 
 
@@ -514,12 +531,36 @@ def _range_rows(operator: BoundaryOperator):
     return per_point
 
 
+@dataclass(frozen=True)
+class _Complement:
+    """One side's E_minus given by the rows W^H of an orthonormal basis W of
+    its orthogonal complement."""
+
+    rows: np.ndarray
+
+
 def _abs_det(V: np.ndarray, bases) -> np.ndarray:
     """min(|det(V E)|, 1) for E the direct sum of the sides' bases, taken side
-    by side; V and the bases may carry a leading stack axis."""
-    VE = np.concatenate([V[..., 8 * i:8 * (i + 1)] @ E
-                         for i, E in enumerate(bases)], axis=-1)
-    return np.minimum(np.abs(np.linalg.det(VE)), 1.0)
+    by side; V and the bases may carry a leading stack axis.  For a side given
+    as a `_Complement`, [E W] is unitary, so its columns V_i E_i of V E may
+    be traded for V_i with the rows W^H appended under them: the |det| of
+    that square matrix is |det(V E)|."""
+    cols, under = [], []
+    for i, E in enumerate(bases):
+        V_i = V[..., 8 * i:8 * (i + 1)]
+        if isinstance(E, _Complement):
+            under.append((sum(c.shape[-1] for c in cols), E.rows))
+            cols.append(V_i)
+        else:
+            cols.append(V_i @ E)
+    stack = np.broadcast_shapes(*(c.shape[:-2] for c in cols),
+                                *(R.shape[:-2] for _, R in under))
+    Z = np.concatenate([np.broadcast_to(c, stack + c.shape[-2:]) for c in cols], axis=-1)
+    for start, R in under:
+        rows = np.zeros(stack + (R.shape[-2], Z.shape[-1]), dtype=complex)
+        rows[..., start:start + 8] = R
+        Z = np.concatenate([Z, rows], axis=-2)
+    return np.minimum(np.abs(np.linalg.det(Z)), 1.0)
 
 
 def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
@@ -545,32 +586,57 @@ def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
 
 
 def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
-              eps_cont: float) -> tuple[np.ndarray, dict]:
-    """|D| at each (tau, gamma_L, eta1, eta2) row of P, and the MhdStabError
-    of each failed row by row index (its |D| entry is NaN).
+              eps_cont: float) -> tuple[np.ndarray, dict, int]:
+    """|D| at each (tau, gamma_L, eta1, eta2) row of P, the MhdStabError of
+    each failed row by row index (its |D| entry is NaN), and the number of
+    rows sent to the per-point path.
 
-    Per side, E_minus of the stacked G (shifted at continuation rows) is the
-    QR of the Im mu < 0 unit eigenvectors of a batched `eig`; a side of
-    dimension 0 or 8 needs only the sign count.  A row goes to `_point_abs_D`
-    when a count is wrong, min |Im mu| < 1e-8, min |r_ii| < 1e-6 max |r_ii|,
-    or `range_rows` does not vouch for it; so failures come from there.
+    Per side, on the stacked G (shifted at continuation rows):
+      * dimension 0 or 8: E_minus is 0 or C^8.  When the side's a_d_inv has
+        all its eigenvalues of the sign dim implies, the symmetrizer's energy
+        identity gives every eigenvalue of G that sign's Im mu with |Im mu| >=
+        gamma min |lambda(a_d_inv)| (gamma = eps_cont at continuation rows), so
+        a row whose bound clears the gap test twice over needs no eigenvalues;
+        the other rows keep the `eigvals` sign count.
+      * dimension 7: E_minus is the orthogonal complement of the left
+        eigenvector w of the single Im mu > 0 root (`_left_vector`), so
+        `_abs_det` takes w^H in place of a basis: for the fast shock |D| =
+        |det([V[:, :8]; w^H])|, an 8x8 determinant.
+      * any other: the QR of the Im mu < 0 unit eigenvectors of a batched `eig`.
+    A row goes to `_point_abs_D` when a count is wrong, min |Im mu| < 1e-8,
+    the left vector fails its residual test, min |r_ii| < 1e-6 max |r_ii|, or
+    `range_rows` does not vouch for it; so failures come from there.
     """
     cont = P[:, 1] <= 1e-8  # as in stable_subspace
+    gamma = np.where(cont, eps_cont, P[:, 1])  # the damping each row's G carries
     trusted = np.ones(len(P), dtype=bool)
     bases = []
     for side in problem.sides:
-        G = side.G(P)
-        G[cont] -= (1j * (eps_cont - P[cont, 1]))[:, None, None] * side.a_d_inv
+        need = np.ones(len(P), dtype=bool)  # rows whose split needs eigenvalues
+        E = np.eye(8)[:, :side.dim]  # E_minus at dimension 0 or 8
         if side.dim in (0, 8):
-            mu, E = np.linalg.eigvals(G), np.eye(8)[:, :side.dim]
-        else:
-            mu, X = np.linalg.eig(G)
-            stable = np.argsort(mu.imag >= 0.0, axis=1, kind="stable")[:, :side.dim]
-            E, R = np.linalg.qr(np.take_along_axis(X, stable[:, None, :], axis=2))
-            r = np.abs(np.diagonal(R, axis1=1, axis2=2))
-            trusted &= r.min(axis=1) >= 1e-6 * r.max(axis=1)
-        trusted &= ((np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
-                    & (np.abs(mu.imag).min(axis=1) >= 1e-8))
+            lam = np.linalg.eigvals(side.a_d_inv)
+            if np.all((lam.real > 0.0) == (side.dim == 8)):
+                # the factor 2 covers the rounding of the bound and of eigvals
+                need = gamma * np.abs(lam).min() < 2e-8
+        if need.any():
+            G = side.G(P[need])
+            shift = cont[need]
+            G[shift] -= (1j * (eps_cont - P[need][shift, 1]))[:, None, None] * side.a_d_inv
+            if side.dim in (0, 7, 8):
+                mu = np.linalg.eigvals(G)
+                if side.dim == 7:
+                    w, ok = _left_vector(G, mu[np.arange(len(G)), np.argmax(mu.imag, axis=1)])
+                    E = _Complement(w.conj()[:, None, :])
+                    trusted &= ok
+            else:
+                mu, X = np.linalg.eig(G)
+                stable = np.argsort(mu.imag >= 0.0, axis=1, kind="stable")[:, :side.dim]
+                E, R = np.linalg.qr(np.take_along_axis(X, stable[:, None, :], axis=2))
+                r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+                trusted &= r.min(axis=1) >= 1e-6 * r.max(axis=1)
+            trusted[need] &= ((np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
+                              & (np.abs(mu.imag).min(axis=1) >= 1e-8))
         bases.append(E)
     V, ok = range_rows(P)
     trusted &= ok
@@ -586,7 +652,38 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
         except MhdStabError as exc:
             abs_D[i] = np.nan
             errors[int(i)] = exc
-    return abs_D, errors
+    return abs_D, errors, int(np.count_nonzero(~trusted))
+
+
+def _left_vector(G: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit w with G^H w = conj(mu) w at each matrix of the stack G, for a
+    simple eigenvalue mu of each: two steps of inverse iteration on G^H -
+    conj(mu) from the all-ones vector.  ok where the residual |G^H w -
+    conj(mu) w| is at most 5e-14 |G|_F, about 200 rounding units (one step
+    does not always get there).  A row whose shifted matrix is exactly
+    singular fails; a failed row gets the unit all-ones vector, so the stack
+    stays finite."""
+    A = G.conj().transpose(0, 2, 1) - mu.conj()[:, None, None] * np.eye(8)
+    w = np.ones((len(G), 8, 1), dtype=complex)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for _ in range(2):
+            w = _solve(A, w)
+            w /= np.linalg.norm(w, axis=1, keepdims=True)
+        residual = np.linalg.norm(A @ w, axis=(1, 2))
+    ok = residual <= 5e-14 * np.linalg.norm(G, axis=(1, 2))
+    return np.where(ok[:, None], w[..., 0], 8.0 ** -0.5), ok
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a stack, with NaN rows where the LU of A is exactly
+    singular (the batched call raises for the whole stack)."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if len(A) == 1:
+            return np.full_like(b, np.nan)
+        h = len(A) // 2
+        return np.concatenate([_solve(A[:h], b[:h]), _solve(A[h:], b[h:])])
 
 
 def _scan(problem: _ScanProblem, grid, eps_cont: float,
@@ -594,8 +691,15 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
     if grid is None:
         grid = HemisphereGrid()
     P = (grid if hasattr(grid, "_rows") else ExplicitGrid(grid.points()))._rows()
-    evaluate = functools.partial(_evaluate, problem, _range_rows(problem.operator),
-                                 eps_cont=eps_cont)
+    range_rows = _range_rows(problem.operator)
+    n_fallback = 0
+
+    def evaluate(rows: np.ndarray) -> tuple[np.ndarray, dict]:
+        nonlocal n_fallback
+        values, errors, n = _evaluate(problem, range_rows, rows, eps_cont)
+        n_fallback += n
+        return values, errors
+
     values = np.empty(len(P))
     failures: list[dict] = []
     for start in range(0, len(P), _CHUNK):
@@ -634,6 +738,7 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
         n_points=len(P),
         grid=grid.describe(),
         polish=polish_info,
+        n_fallback=n_fallback,
     )
 
 

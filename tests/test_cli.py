@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,19 @@ def test_scan_allow_partial_with_failing_operator(tmp_path):
     assert all(f["type"] == "RankDeficiency" for f in data["failures"])
     assert run(["scan", "--config", cfg, "--out", str(out),
                 "--allow-partial"]) == 0
+
+
+@pytest.mark.parametrize("name", ["scan_shock.json", "scan_boundary.json"])
+def test_shipped_scan_configs_need_no_fallback(tmp_path, name):
+    # every row of the shipped scans takes the batched path, and the count
+    # leaves the output byte-identical between runs
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / name)
+    out1, out2 = tmp_path / "o1", tmp_path / "o2"
+    assert run(["scan", "--config", cfg, "--out", str(out1)]) == 0
+    assert run(["scan", "--config", cfg, "--out", str(out2)]) == 0
+    assert read_json(out1 / "scan.json")["diagnostics"] == {"n_fallback": 0}
+    for f in ("scan.csv", "scan.json"):
+        assert (out1 / f).read_bytes() == (out2 / f).read_bytes()
 
 
 def test_scan_byte_determinism(tmp_path):

@@ -37,8 +37,10 @@ from mhdstab.lopatinski import (
 from mhdstab.lopatinski import (
     _CHUNK,
     _ScanProblem,
+    _evaluate,
     _one_sided_problem,
     _polish_min,
+    _range_rows,
     _right_singular_rows,
     _scan,
     _shock_problem,
@@ -46,6 +48,10 @@ from mhdstab.lopatinski import (
 
 SUBSONIC_STATE = ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0,
                              B=[0.3, 0.1, 0.2])
+SLOW_INFLOW = ThermoState(rho=1.0, u=[0.2, -0.1, 0.1], theta=1.0,
+                          B=[0.3, 0.1, 0.2])
+SUPERSONIC_INFLOW = ThermoState(rho=1.0, u=[0.2, -0.1, 3.0], theta=1.0,
+                                B=[0.3, 0.1, 0.2])
 
 
 def n_positive(state, gas, d):
@@ -681,6 +687,12 @@ def test_batched_scan_matches_per_point_oracle(gas, monkeypatch):
     callable_op = BoundaryOperator(lambda zf: M0 + 1j * zf.tau * M1, n=8, p=len(M0))
     for M in (M0, callable_op):
         cases.append(([(st, 1.0)], _one_sided_problem(st, gas, 3, M, 1e-10)))
+    # inflow slower than the slow and Alfven speeds, and supersonic inflow:
+    # dim E_minus 5 (eig and QR) and 8 (the definite-side certificate)
+    for inflow in (SLOW_INFLOW, SUPERSONIC_INFLOW):
+        M = np.random.default_rng(67).standard_normal((n_positive(inflow, gas, 3), 8))
+        cases.append(([(inflow, 1.0)], _one_sided_problem(inflow, gas, 3, M, 1e-10)))
+    assert [problem.expected_dim for _, problem in cases[-2:]] == [5, 8]
     for sides, problem in cases:
         fallbacks = _count_fallbacks(monkeypatch)
         res = _scan(problem, grid, 1e-6, polish_rounds=0)
@@ -790,3 +802,86 @@ def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
     # shifting G by a multiple of I at the equator keeps its invariant subspaces
     want = lopatinski_det(stable_subspace(G0, 1.0), M).abs_D
     assert_allclose([row[4] for row in res.rows], want, rtol=0, atol=1e-12)
+
+
+def _count_stacked_eig_rows(monkeypatch):
+    """Rows passed in stacks to np.linalg.eig and np.linalg.eigvals."""
+    rows = {"eig": 0, "eigvals": 0}
+    for name in rows:
+        def counted(a, _f=getattr(np.linalg, name), _name=name):
+            if np.ndim(a) == 3:
+                rows[_name] += len(a)
+            return _f(a)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return rows
+
+
+def test_batched_scan_certifies_definite_side_and_skips_eig(gas, monkeypatch):
+    # the fast shock's upstream side has dimension 0 and a negative definite
+    # A_d^{-1}: every eigenvalue of its G has Im mu > 0 with |Im mu| >= gamma
+    # min |lambda(A_d^{-1})| (gamma = eps_cont on the equator), so only a row
+    # whose bound is below twice the gap 1e-8 gets its eigenvalues; the
+    # downstream side (dimension 7) takes eigvals at every row and never eig
+    grid = _mixed_grid(_CHUNK + 44, 75)
+    for u, B, mach in (([0, 0, 0], [0, 0, 0], 2.0), ([0, 0.1, 0.05], [0.2, -0.1, 0.3], 1.7)):
+        sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=u, theta=1.0, B=B),
+                              family="fast", mach=mach, d=3)
+        problem = _shock_problem(sh, 1e-10)
+        assert [side.dim for side in problem.sides] == [7, 0]
+        lam = np.abs(np.linalg.eigvals(problem.sides[1].a_d_inv)).min()
+        margin = [BoundaryFrequency(0.6, bound / lam, [0.8, 0.0]) for bound in (1.5e-8, 2.5e-8)]
+        points = ExplicitGrid(grid.points() + margin)
+        rows = _count_stacked_eig_rows(monkeypatch)
+        res = _scan(problem, points, 1e-6, polish_rounds=0)
+        monkeypatch.undo()
+        assert rows == {"eig": 0, "eigvals": points.n_points + 1}
+        assert not res.failures and len(res.rows) == points.n_points
+        # the bound itself, on the shifted G of every row
+        P = points._rows()
+        gamma = np.where(P[:, 1] <= 1e-8, 1e-6, P[:, 1])
+        G = problem.sides[1].G(P) - (1j * (gamma - P[:, 1]))[:, None, None] * problem.sides[1].a_d_inv
+        assert np.all(np.linalg.eigvals(G).imag >= (1.0 - 1e-9) * gamma[:, None] * lam)
+
+
+def test_batched_scan_survives_exactly_singular_inverse_iteration(gas):
+    # at this row of the B = 0 Mach-2 shock the LU of G^H - conj(mu+) for the
+    # downstream side comes out exactly singular (with the LAPACK at hand),
+    # although mu+ is 1.73 away from the other roots; a batched solve raises
+    # for the whole stack, so the row must fall back alone, in a stack longer
+    # than a chunk as well
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    problem = _shock_problem(sh, 1e-10)
+    zf = BoundaryFrequency(-0.1502804529822391, 0.9723699203976766,
+                           [-0.12597538793416418, -0.12665987917294855])
+    points = _mixed_grid(299, 76).points()
+    grid = ExplicitGrid(points[:150] + [zf] + points[150:])
+    want, failures = _oracle(gas, [(sh.right, 1.0), (sh.left, -1.0)], 3, problem.operator, grid)
+    assert failures == []
+    abs_D, errors, n_fallback = _evaluate(problem, _range_rows(problem.operator),
+                                          grid._rows(), 1e-6)
+    assert errors == {} and n_fallback <= 1
+    assert_allclose(abs_D, want, rtol=0, atol=1e-12)
+    res = _scan(problem, ExplicitGrid([zf]), 1e-6, polish_rounds=0)
+    assert not res.failures and res.n_fallback <= 1
+    assert abs(res.rows[0][4] - want[150]) <= 1e-12
+
+
+def test_scan_reports_fallback_rows_of_sweep_and_polish(gas, monkeypatch):
+    # with no left vector trusted, every sweep and polish row of a fast-shock
+    # scan takes the per-point path and is counted, with the same |D|
+    from mhdstab import lopatinski
+
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    grid = HemisphereGrid(n_phi=1, n_sphere=8, equator_refine=1)
+    fast = shock_scan(sh, grid, polish_rounds=1)
+    monkeypatch.setattr(lopatinski, "_left_vector",
+                        lambda G, mu: (np.ones((len(G), 8)), np.zeros(len(G), dtype=bool)))
+    slow = shock_scan(sh, grid, polish_rounds=1)
+    assert fast.n_fallback == 0
+    assert slow.n_fallback == grid.n_points + 124 == 140
+    assert slow.summary()["diagnostics"] == {"n_fallback": 140}
+    assert_allclose([row[4] for row in slow.rows], [row[4] for row in fast.rows],
+                    rtol=0, atol=1e-12)
+    assert abs(slow.min_abs_D - fast.min_abs_D) <= 1e-12
