@@ -331,11 +331,11 @@ def entropy_transform(state: ThermoState, eos: EquationOfState
     return T, T_inv
 
 
-def tangent_basis(xi, B, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def tangent_basis(xi, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal frame (xi_hat, t1, t2) with t1 along the tangential field.
 
     When the component of B orthogonal to xi is negligible (|xi x B| <=
-    rel_tol * |B|, or B = 0) the tangent pair has no preferred direction
+    1e-12 |B|, or B = 0) the tangent pair has no preferred direction
     and a deterministic Householder complement of xi_hat is used instead.
     Always right-handed: t2 = xi_hat x t1.
     """
@@ -344,7 +344,7 @@ def tangent_basis(xi, B, rel_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray
     B = np.asarray(B, dtype=float).reshape(3)
     B_perp = B - (B @ xi_hat) * xi_hat
     B_perp_norm = np.linalg.norm(B_perp)
-    if B_perp_norm > rel_tol * np.linalg.norm(B):
+    if B_perp_norm > 1e-12 * np.linalg.norm(B):
         t1 = B_perp / B_perp_norm
     else:
         sign = 1.0 if xi_hat[0] >= 0.0 else -1.0
@@ -510,9 +510,8 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
 
 
 def nonglancing_test(state: ThermoState, eos: EquationOfState,
-                     root: CharacteristicRoot, xi, boundary: BoundaryFrame,
-                     step_rel: float = 1e-3,
-                     tol: float = 1e-8) -> NonglancingResult:
+                     root: CharacteristicRoot, xi,
+                     boundary: BoundaryFrame) -> NonglancingResult:
     """Glancing test for a multiplicity-m root at (state, xi).
 
     nonglancing: the m-th derivative of det(tau0 I + A(xi) - sigma xi_d I)
@@ -523,10 +522,10 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     normalized by the same-order tau derivative
     m! * prod_{j not in root}(lambda_j - lambda_root) -- the two differ
     exactly by the product of the branch group velocities -- so the
-    scale-relative tolerance acts in velocity units.  totally: all m
+    scale-relative tolerance 1e-8 acts in velocity units.  totally: all m
     branch group velocities d(lambda)/d(xi_d) - sigma share one sign, the
     branches being tracked by continuity through xi_d -> xi_d +- eps with
-    eps = step_rel * |xi|.  The entropy double needs no tracking: its
+    eps = 1e-3 |xi|.  The entropy double needs no tracking: its
     branches are exactly lambda = u . xi, so both velocities are u_d -
     sigma, however close another root sits.  Raises ValueError when
     root.lam is not an eigenvalue of multiplicity m at xi, and
@@ -541,7 +540,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     d, sigma = boundary.axis, boundary.sigma
     ws = wave_speeds(state, eos, xi)
     vel_scale = max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
-    eps = step_rel * xin
+    eps = 1e-3 * xin
 
     # same-order tau derivative of P at the root: the sigma shift cancels in
     # the eigenvalue gaps
@@ -574,7 +573,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         sq(float(state.u @ xi) - root.lam, state.u[d - 1] - sigma),
         xi_dot_B_sq, ws.c0**2 * xi_sq, ws.h**2 * xi_sq - xi_dot_B_sq)
     deriv = math.factorial(m) * float(coef[m])
-    nonglancing = abs(deriv) > tol * max(denom, 1e-300)
+    nonglancing = abs(deriv) > 1e-8 * max(denom, 1e-300)
 
     # Branch group velocities through the root.
     window = 3.0 * eps * vel_scale
@@ -599,7 +598,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     else:
         velocities = (branch_values(+1.0) - branch_values(-1.0)) / (2.0 * eps) - sigma
 
-    vel_tol = tol * vel_scale
+    vel_tol = 1e-8 * vel_scale
     incoming = int(np.sum(velocities > vel_tol))
     outgoing = int(np.sum(velocities < -vel_tol))
     totally = bool(nonglancing and (incoming == m or outgoing == m))

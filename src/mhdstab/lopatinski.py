@@ -35,8 +35,8 @@ Conventions, fixed once here and used consistently:
         inverse iteration, and |D| = |det(V E)| = |det([V; w^H])| because
         [E w] is unitary.
       - any other dimension: a batched `eig` plus QR.
-    The per-point path (ordered Schur, SVD of M) is the reference, and the
-    fallback for every row the batch cannot trust.
+    The per-point path (`stable_subspace` per side, then `lopatinski_det`)
+    is the reference, and the fallback for every row the batch cannot trust.
 
 Shock problems are folded to one side by reflection.  A planar shock with
 upstream (left, x_d < 0) and downstream (right, x_d > 0) states in the
@@ -135,6 +135,8 @@ class BoundaryFrequency:
         object.__setattr__(self, "tau", float(self.tau))
         object.__setattr__(self, "gamma_L", float(self.gamma_L))
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float).reshape(2))
+        if not np.all(np.isfinite([self.tau, self.gamma_L, *self.eta])):
+            raise ValueError(f"frequency must be finite, got {self.to_dict()}")
         if self.gamma_L < 0.0:
             raise ValueError(f"gamma_L must be >= 0, got {self.gamma_L}")
 
@@ -295,8 +297,7 @@ def _tangential_axes(d: int) -> tuple[int, int]:
 
 def stable_subspace(G: np.ndarray, gamma_L: float,
                     a_d_inv: np.ndarray | None = None,
-                    eps_cont: float = 1e-6,
-                    min_gap: float = 1e-12) -> np.ndarray:
+                    eps_cont: float = 1e-6) -> np.ndarray:
     """Orthonormal basis of the invariant subspace of G for {Im mu < 0}.
 
     Computed by an ordered complex Schur reduction with the Im mu < 0
@@ -309,8 +310,8 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
     untrustable) the limit subspace is taken by continuation: the same
     (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
     -i (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
-    Raises SpectralSplitFailure when the spectral gap is below min_gap
-    while gamma_L > 1e-8.
+    Raises SpectralSplitFailure when the spectral gap min |Im mu| is below
+    the fixed threshold 1e-12 while gamma_L > 1e-8.
     """
     if gamma_L < 0.0:
         raise ValueError("gamma_L must be >= 0")
@@ -326,7 +327,7 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
         np.asarray(G, dtype=complex), output="complex",
         sort=lambda mu: mu.imag < 0.0)
     gap = float(np.min(np.abs(np.diag(T).imag)))
-    if gap < min_gap and gamma_L > 1e-8:
+    if gap < 1e-12 and gamma_L > 1e-8:
         raise SpectralSplitFailure(
             f"stable/unstable splitting ambiguous: min |Im mu| = {gap:.3e} "
             f"at gamma_L = {gamma_L:.3e}")
@@ -346,7 +347,6 @@ class BoundaryOperator:
         self.n = int(n)
         self.p = int(p)
         # for scans, see `_range_rows`
-        self._constant = False
         self._closed_form = None
 
     @property
@@ -357,7 +357,8 @@ class BoundaryOperator:
     def from_matrix(cls, M) -> "BoundaryOperator":
         M = np.atleast_2d(np.asarray(M, dtype=complex))
         op = cls(lambda zf: M, n=M.shape[1], p=M.shape[0])
-        op._constant = True
+        V, ok = _svd_rows(M[None], np.ones(1, dtype=bool))
+        op._closed_form = lambda P: (V, ok)
         return op
 
     def matrix(self, zf: BoundaryFrequency | None = None) -> np.ndarray:
@@ -515,9 +516,6 @@ def _range_rows(operator: BoundaryOperator):
     row of P (a stack of one for a constant M), ok where M evaluated at full rank."""
     if operator._closed_form is not None:
         return operator._closed_form
-    if operator._constant:
-        V, ok = _svd_rows(operator.matrix()[None], np.ones(1, dtype=bool))
-        return lambda P: (V, ok)
 
     def per_point(P: np.ndarray):
         M = np.zeros((len(P), operator.p, operator.n), dtype=complex)
@@ -566,7 +564,7 @@ def _abs_det(V: np.ndarray, bases) -> np.ndarray:
 def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
                  eps_cont: float) -> float:
     """|D| at one point on the reference path: ordered Schur and dim E_minus
-    check per side, SVD of M at zf.  Raises the point's MhdStabError."""
+    check per side, then `lopatinski_det`.  Raises the point's MhdStabError."""
     bases = []
     for i, side in enumerate(problem.sides):
         E = stable_subspace(side.G(zf), zf.gamma_L, a_d_inv=side.a_d_inv,
@@ -577,12 +575,7 @@ def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
             raise SpectralSplitFailure(
                 f"side {i}: dim E_minus = {E.shape[1]}, expected {side.dim}")
         bases.append(E)
-    V = _right_singular_rows(problem.operator.matrix(zf), full_matrices=False)
-    p, n = V.shape
-    if problem.expected_dim != p:
-        raise DimensionMismatch(
-            f"dim E_minus ({problem.expected_dim}) + dim ker M ({n - p}) != {n}")
-    return float(_abs_det(V, bases))
+    return lopatinski_det(scipy.linalg.block_diag(*bases), problem.operator, zf).abs_D
 
 
 def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
@@ -690,7 +683,7 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
           polish_rounds: int) -> ScanResult:
     if grid is None:
         grid = HemisphereGrid()
-    P = (grid if hasattr(grid, "_rows") else ExplicitGrid(grid.points()))._rows()
+    P = grid._rows()
     range_rows = _range_rows(problem.operator)
     n_fallback = 0
 
@@ -991,8 +984,7 @@ def _rh_residual(left_vec: np.ndarray, right_vec: np.ndarray,
 
 
 def _shock_flags(left: ThermoState, right: ThermoState, eos: EquationOfState,
-                 axis: int, family: str,
-                 tol_char: float = 1e-10) -> tuple[bool, bool]:
+                 axis: int, family: str) -> tuple[bool, bool]:
     pattern = _LAX_PATTERNS.get(family)
     counts = []
     nonchar = True
@@ -1000,7 +992,7 @@ def _shock_flags(left: ThermoState, right: ThermoState, eos: EquationOfState,
         A_d = assemble_full_symbol(side, eos, unit_vector(axis))
         evs = np.linalg.eigvals(A_d).real
         scale = max(float(np.max(np.abs(evs))), 1e-30)
-        if float(np.min(np.abs(evs))) <= tol_char * scale:
+        if float(np.min(np.abs(evs))) <= 1e-10 * scale:
             nonchar = False
         counts.append((int(np.sum(evs > 0.0)), int(np.sum(evs < 0.0))))
     lax = (pattern is not None and nonchar
@@ -1040,8 +1032,7 @@ def _pack_downstream(x: np.ndarray, upstream_vec: np.ndarray, axis: int) -> np.n
 
 def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
                      family: str = "fast", mach: float = 2.0, d: int = 3,
-                     B=None, seed_downstream: ThermoState | None = None,
-                     tol: float = 1e-13, max_iter: int = 80) -> PlanarShock:
+                     B=None, seed_downstream: ThermoState | None = None) -> PlanarShock:
     """Construct a planar Lax shock from an upstream state and a strength.
 
     `mach` is the upstream normal velocity relative to the front in units
@@ -1108,8 +1099,8 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
 
     r = residual(x)
     r_norm = float(np.max(np.abs(r)))
-    converged = r_norm < tol
-    for _ in range(max_iter):
+    converged = r_norm < 1e-13
+    for _ in range(80):
         if converged:
             break
         try:
@@ -1127,7 +1118,7 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
             t *= 0.5
         else:
             break
-        converged = r_norm < tol
+        converged = r_norm < 1e-13
     if not converged and r_norm > 1e-10:
         raise NoAdmissibleShock(
             f"jump-condition Newton did not converge: scaled residual {r_norm:.3e}")

@@ -129,10 +129,6 @@ class IdealGas(EquationOfState):
         if self.R <= 0.0 or self.c_v <= 0.0:
             raise ValueError("IdealGas requires R > 0 and c_v > 0")
 
-    @property
-    def Gamma(self) -> float:
-        return 1.0 + self.R / self.c_v
-
     def evaluate(self, rho: float, theta: float) -> EosEval:
         return EosEval(
             P=self.R * rho * theta,

@@ -70,6 +70,21 @@ def test_boundary_frequency_normalization():
         BoundaryFrequency(1.0, -0.1, [0, 0])
 
 
+@pytest.mark.parametrize("tau, gamma_L, eta", [
+    (np.nan, 0.5, [0.1, 0.2]),
+    (np.inf, 0.5, [0.1, 0.2]),
+    (0.3, np.nan, [0.1, 0.2]),
+    (0.3, np.inf, [0.1, 0.2]),
+    (0.3, 0.5, [-np.inf, 0.2]),
+    (0.3, 0.5, [0.1, np.nan]),
+])
+def test_boundary_frequency_rejects_non_finite(tau, gamma_L, eta):
+    # a non-finite point would otherwise reach a scan's batched linear
+    # algebra, which raises for the whole stack instead of one failure record
+    with pytest.raises(ValueError, match="finite"):
+        BoundaryFrequency(tau, gamma_L, eta)
+
+
 def test_hemisphere_grid_shape():
     grid = HemisphereGrid(n_phi=4, n_sphere=30, equator_refine=2)
     pts = grid.points()
@@ -642,6 +657,40 @@ def test_scan_even_under_antipodal_map(gas):
                 == [f["index"] for f in res.failures])
 
 
+def test_scan_invariant_under_rotation_about_the_normal(gas):
+    # a rotation by pi about x_3 acts as Q = diag(-1, -1, 1) on u and B and as
+    # R = diag(1, Q, 1, Q) on the trace; it maps the problem at (tau, gamma_L,
+    # eta) onto the one at (tau, gamma_L, -eta), so scanning (U, M) on the
+    # flipped points gives the rows of (QU, M R) on the original points, and
+    # a shock from the rotated upstream state those of the original shock;
+    # the equator points exercise the continuation
+    grid = _mixed_grid(40, 77)
+    flipped = ExplicitGrid([BoundaryFrequency(zf.tau, zf.gamma_L, -zf.eta)
+                            for zf in grid.points()])
+    Q = np.diag([-1.0, -1.0, 1.0])
+    R = np.diag([1.0, -1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+
+    def rotated(st):
+        return ThermoState(rho=st.rho, u=Q @ st.u, theta=st.theta, B=Q @ st.B)
+
+    st = SUBSONIC_STATE
+    M_re, M_im = np.random.default_rng(78).standard_normal((2, n_positive(st, gas, 3), 8))
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, -0.1, 0.3])
+    pairs = [(uniform_scan(st, gas, 3, M, flipped, polish_rounds=0),
+              uniform_scan(rotated(st), gas, 3, M @ R, grid, polish_rounds=0))
+             for M in (M_re, M_re + 1j * M_im)]
+    sh, sh_rot = (rankine_hugoniot(gas, u, family="fast", mach=1.7, d=3)
+                  for u in (up, rotated(up)))
+    pairs.append((shock_scan(sh, flipped, polish_rounds=0),
+                  shock_scan(sh_rot, grid, polish_rounds=0)))
+    for res, rot in pairs:
+        assert len(res.rows) == len(rot.rows) > 0
+        assert_allclose([row[4:] for row in rot.rows],
+                        [row[4:] for row in res.rows], rtol=0, atol=1e-12)
+        assert ([f["index"] for f in rot.failures]
+                == [f["index"] for f in res.failures])
+
+
 # ----------------------------------------------------------------------------
 # batched scan engine against the per-point reference
 # ----------------------------------------------------------------------------
@@ -723,6 +772,23 @@ def test_batched_scan_degenerate_front_fails_as_oracle(gas, monkeypatch):
     assert len(failures) == grid.n_points
     assert _failure_list(res) == failures
     assert {f[1] for f in failures} == {"RankDeficiency"}
+
+
+def test_scan_operator_of_wrong_rank_fails_every_row_on_the_oracle(gas):
+    # a full-rank 6x8 operator against dim E_minus 7: no row can pass the
+    # dimension check, so each row falls back and fails with the record of
+    # lopatinski_det, and with no valid point there is nothing to polish
+    st = SUBSONIC_STATE
+    M = np.random.default_rng(79).standard_normal((6, 8))
+    grid = HemisphereGrid(1, 10, 1)
+    res = uniform_scan(st, gas, 3, M, grid, polish_rounds=2)
+    assert res.expected_dim == n_positive(st, gas, 3) == 7
+    assert not res.rows and res.min_abs_D is None
+    assert [f["index"] for f in res.failures] == list(range(grid.n_points))
+    assert {(f["type"], f["message"]) for f in res.failures} == {
+        ("DimensionMismatch", "dim E_minus (7) + dim ker M (2) != 8")}
+    assert res.n_fallback == grid.n_points == 20
+    assert res.polish == {"rounds": 0}
 
 
 def test_polish_takes_first_strict_minimum_in_lattice_order():
