@@ -277,19 +277,49 @@ def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds
     return roots
 
 
+def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of polynomials given by their coefficients (increasing powers)
+    along the last axis, over any broadcast leading axes."""
+    if a.ndim == b.ndim == 1:
+        return np.convolve(a, b)  # nonglancing_test's values keep its rounding
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                   + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.result_type(a, b))
+    for i in range(a.shape[-1]):
+        out[..., i:i + b.shape[-1]] += a[..., i, None] * b
+    return out
+
+
+def _char_poly_factors(tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors T, T - F and (T - F)(T - C) - X T of det(tau_tilde I +
+    A_tilde(xi)) along a line of xi, one per pair of +- roots of a wave
+    family (entropy, Alfven, magnetoacoustic).
+
+    The inputs are coefficient arrays (increasing powers in the line's
+    parameter along the last axis, length 3, any leading stack axes, real or
+    complex) of T = tau_tilde^2, F = (xi.B)^2/rho, C = c0^2 xi.xi and X =
+    h^2 xi.xi - F, which is |xi x B|^2/rho for real xi.  For complex xi the
+    products are the bilinear ones (xi.xi, not |xi|^2), so the factors stay
+    those of the determinant.  `nonglancing_test` takes the line xi + t e_d
+    with real t; the scan takes xi = (eta, -s mu) with complex mu, whose
+    roots are a side's eigenvalues (`lopatinski._Side.roots`).
+    """
+    alfven = tau_sq - xi_dot_B_sq
+    magnetosonic = (_polymul(alfven, tau_sq - c0_xi_sq)
+                    - _polymul(xi_cross_B_sq, tau_sq))
+    return tau_sq, alfven, magnetosonic
+
+
 def _factored_char_poly(tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq) -> np.ndarray:
     """The 9 coefficients (increasing powers) of det(tau_tilde I + A_tilde(xi))
 
-        P = T (T - F) ((T - F)(T - C) - X T)
+        P = T (T - F) ((T - F)(T - C) - X T),
 
-    from the length-3 coefficient arrays (increasing powers) of T =
-    tau_tilde^2, F = (xi.B)^2/rho, C = c0^2 |xi|^2 and X = |xi x B|^2/rho:
-    each factor pairs the +- roots of one wave family.
+    the product of `_char_poly_factors` of the same inputs.
     """
-    alfven = tau_sq - xi_dot_B_sq
-    magnetosonic = (np.convolve(alfven, tau_sq - c0_xi_sq)
-                    - np.convolve(xi_cross_B_sq, tau_sq))
-    return np.convolve(np.convolve(tau_sq, alfven), magnetosonic)
+    entropy, alfven, magnetosonic = _char_poly_factors(
+        tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq)
+    return _polymul(_polymul(entropy, alfven), magnetosonic)
 
 
 def char_poly_reduced(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:

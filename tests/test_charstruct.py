@@ -27,7 +27,7 @@ from mhdstab.charstruct import (
     tangent_basis,
     wave_speeds,
 )
-from mhdstab.charstruct import _factored_char_poly
+from mhdstab.charstruct import _char_poly_factors, _factored_char_poly
 
 from conftest import random_state, random_xi, random_rotation
 
@@ -672,3 +672,20 @@ def test_char_poly_reduced_matches_expanded_coefficients(eos):
         expected = [1.0, 0.0, -(c0_sq + h_sq + a_sq), 0.0, a_sq * (2.0 * c0_sq + h_sq),
                     0.0, -(a_sq**2) * c0_sq, 0.0, 0.0]
         assert_allclose(char_poly_reduced(st, eos, xi), expected, rtol=1e-13, atol=0)
+
+
+def test_char_poly_factors_of_a_stack_match_each_row():
+    # the scan passes stacks of complex coefficient rows, nonglancing_test
+    # single real rows: both get the same factors, and their product is
+    # _factored_char_poly
+    rng = np.random.default_rng(47)
+    args = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+    stacked = _char_poly_factors(*args)
+    assert [f.shape for f in stacked] == [(6, 3), (6, 3), (6, 5)]
+    for i in range(6):
+        row = [a[i] for a in args]
+        for got, want in zip(stacked, _char_poly_factors(*row)):
+            assert_allclose(got[i], want, rtol=1e-14, atol=1e-14)
+        entropy, alfven, magnetosonic = (f[i] for f in stacked)
+        assert_allclose(np.convolve(np.convolve(entropy, alfven), magnetosonic),
+                        _factored_char_poly(*row), rtol=1e-13, atol=1e-13)

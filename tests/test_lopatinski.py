@@ -37,6 +37,7 @@ from mhdstab.lopatinski import (
 from mhdstab.lopatinski import (
     _CHUNK,
     _ScanProblem,
+    _Side,
     _evaluate,
     _one_sided_problem,
     _polish_min,
@@ -871,14 +872,22 @@ def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
 
 
 def _count_stacked_eig_rows(monkeypatch):
-    """Rows passed in stacks to np.linalg.eig and np.linalg.eigvals."""
-    rows = {"eig": 0, "eigvals": 0}
-    for name in rows:
+    """Rows passed in stacks to np.linalg.eig, np.linalg.eigvals and the
+    closed-form root helper `_Side.roots`, and the rows it did not trust."""
+    rows = {"eig": 0, "eigvals": 0, "roots": 0, "untrusted": 0}
+    for name in ("eig", "eigvals"):
         def counted(a, _f=getattr(np.linalg, name), _name=name):
             if np.ndim(a) == 3:
                 rows[_name] += len(a)
             return _f(a)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def roots(self, P, gamma, _f=_Side.roots):
+        mu, ok = _f(self, P, gamma)
+        rows["roots"] += len(P)
+        rows["untrusted"] += int(np.count_nonzero(~ok))
+        return mu, ok
+    monkeypatch.setattr(_Side, "roots", roots)
     return rows
 
 
@@ -887,7 +896,8 @@ def test_batched_scan_certifies_definite_side_and_skips_eig(gas, monkeypatch):
     # A_d^{-1}: every eigenvalue of its G has Im mu > 0 with |Im mu| >= gamma
     # min |lambda(A_d^{-1})| (gamma = eps_cont on the equator), so only a row
     # whose bound is below twice the gap 1e-8 gets its eigenvalues; the
-    # downstream side (dimension 7) takes eigvals at every row and never eig
+    # downstream side (dimension 7) takes them at every row; all of them come
+    # from the closed-form roots, none from an 8x8 eigvals or eig
     grid = _mixed_grid(_CHUNK + 44, 75)
     for u, B, mach in (([0, 0, 0], [0, 0, 0], 2.0), ([0, 0.1, 0.05], [0.2, -0.1, 0.3], 1.7)):
         sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=u, theta=1.0, B=B),
@@ -900,7 +910,7 @@ def test_batched_scan_certifies_definite_side_and_skips_eig(gas, monkeypatch):
         rows = _count_stacked_eig_rows(monkeypatch)
         res = _scan(problem, points, 1e-6, polish_rounds=0)
         monkeypatch.undo()
-        assert rows == {"eig": 0, "eigvals": points.n_points + 1}
+        assert rows == {"eig": 0, "eigvals": 0, "roots": points.n_points + 1, "untrusted": 0}
         assert not res.failures and len(res.rows) == points.n_points
         # the bound itself, on the shifted G of every row
         P = points._rows()
@@ -951,3 +961,112 @@ def test_scan_reports_fallback_rows_of_sweep_and_polish(gas, monkeypatch):
     assert_allclose([row[4] for row in slow.rows], [row[4] for row in fast.rows],
                     rtol=0, atol=1e-12)
     assert abs(slow.min_abs_D - fast.min_abs_D) <= 1e-12
+
+
+# ----------------------------------------------------------------------------
+# closed-form side roots against the 8x8 eigenproblem
+# ----------------------------------------------------------------------------
+
+def _matched_error(mu, ref):
+    """Per row, the largest distance between the roots mu and ref paired by
+    an optimal assignment, in units of max(1, |ref|)."""
+    from scipy.optimize import linear_sum_assignment
+
+    err = np.empty(len(mu))
+    for i, (a, b) in enumerate(zip(mu, ref)):
+        cost = np.abs(a[:, None] - b[None, :]) / np.maximum(1.0, np.abs(b))
+        err[i] = cost[linear_sum_assignment(cost)].max()
+    return err
+
+
+def test_closed_form_roots_match_batched_eigvals(gas):
+    # the interior rows of the bench grid and its equator rows shifted to
+    # gamma = eps_cont, as the scan's continuation takes them, on the sides
+    # of the Mach-2 shock (its downstream side of dimension 7 and its
+    # reflected, s = -1, upstream side) as |B| -> 0, of an oblique shock, and
+    # a subsonic inflow of dimension 7
+    P = HemisphereGrid(2, 40, 2)._rows()
+    equator = P[:, 1] == 0.0
+    P = np.concatenate([P[~equator], P[equator]])
+    gamma = np.where(np.arange(len(P)) < np.count_nonzero(~equator), P[:, 1], 1e-6)
+    sides = []
+    for b in (0.1, 0.01, 0.001, 0.0):
+        sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[b, 0, 0]),
+                              family="fast", mach=2.0, d=3)
+        sides += _shock_problem(sh, 1e-10).sides
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0.1, 0.05], theta=1.0,
+                                           B=[0.2, -0.1, 0.3]), family="fast", mach=1.7, d=3)
+    sides += _shock_problem(sh, 1e-10).sides
+    sides.append(_Side(SUBSONIC_STATE, gas, 3, 1e-10))
+    assert [(side.dim, side.sign) for side in sides] == [(7, 1.0), (0, -1.0)] * 5 + [(7, 1.0)]
+    for side in sides:
+        assert side.closed_form
+        mu, ok = side.roots(P, gamma)
+        ref = np.linalg.eigvals(side.G(np.column_stack([P[:, 0], gamma, P[:, 2:]])))
+        assert np.count_nonzero(ok) >= 0.99 * len(P)
+        assert _matched_error(mu[ok], ref[ok]).max() <= 1e-12
+        counts = np.count_nonzero(mu[ok].imag < 0.0, axis=1)
+        assert np.array_equal(counts, np.count_nonzero(ref[ok].imag < 0.0, axis=1))
+        assert np.all(counts == side.dim)
+
+
+def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
+    # B = 0: the quartic has a double root and takes its exact factors; a
+    # tangential |B| = 1e-5: the double root has split by about |B|, and on
+    # some rows Ferrari and two Newton steps do not vouch for the slow
+    # roots; B along the normal: xi.b has no eta term, and at eta = 0 the
+    # Alfven pair also solves the quartic; an inflow 0.1% below the fast
+    # speed: the quartic's leading coefficient cancels, so the side keeps
+    # the 8x8 eigvals.  Every row the closed form does not vouch for takes
+    # the 8x8 eigvals (or then the per-point path), and |D| matches the
+    # oracle.
+    c_f = wave_speeds(SUBSONIC_STATE, gas, [0.0, 0.0, 1.0]).c_f
+    states = {
+        "B = 0": ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[0, 0, 0]),
+        "B -> 0": ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[1e-5, 0, 0]),
+        "B normal": ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[0, 0, 0.3]),
+        "near characteristic": ThermoState(rho=1.0, u=[0.2, -0.1, (1.0 - 1e-3) * c_f],
+                                           theta=1.0, B=[0.3, 0.1, 0.2]),
+    }
+    grid = ExplicitGrid(_mixed_grid(60, 82).points()
+                        + [BoundaryFrequency(0.6, 0.8, [0.0, 0.0]),
+                           BoundaryFrequency(1.0, 0.0, [0.0, 0.0])])
+    for name, st in states.items():
+        M = np.random.default_rng(83).standard_normal((n_positive(st, gas, 3), 8))
+        problem = _one_sided_problem(st, gas, 3, M, 1e-10)
+        (side,) = problem.sides
+        assert side.dim == 7
+        assert side.closed_form == (name != "near characteristic")
+        rows = _count_stacked_eig_rows(monkeypatch)
+        fallbacks = _count_fallbacks(monkeypatch)
+        res = _scan(problem, grid, 1e-6, polish_rounds=0)
+        monkeypatch.undo()
+        assert rows["eig"] == 0
+        assert rows["eigvals"] == (rows["untrusted"] if side.closed_form else grid.n_points)
+        assert (rows["untrusted"] > 0) == (name == "B -> 0")
+        assert len(fallbacks) == res.n_fallback
+        want, failures = _oracle(gas, [(st, 1.0)], 3, problem.operator, grid)
+        assert _failure_list(res) == failures == []
+        assert_allclose([row[4] for row in res.rows], want, rtol=0, atol=1e-12)
+
+
+def test_batched_scan_retries_an_exactly_singular_moved_shift(gas):
+    # at this row of the B = 0 Mach-2 shock the closed-form mu+ of the
+    # downstream side is exact enough that the LU of G^H - conj(mu+), with the
+    # shift moved by one rounding unit, comes out exactly singular (with the
+    # LAPACK at hand) while the unmoved one does not: `_left_vector` solves
+    # the row again unmoved, so it stays on the batched path, in a stack
+    # longer than a chunk as well
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    problem = _shock_problem(sh, 1e-10)
+    zf = BoundaryFrequency(-0.8620488121522458, 0.4539904997395468,
+                           [-0.17710244342382164, -0.13928099707587688])
+    points = _mixed_grid(299, 84).points()
+    grid = ExplicitGrid(points[:150] + [zf] + points[150:])
+    want, failures = _oracle(gas, [(sh.right, 1.0), (sh.left, -1.0)], 3, problem.operator, grid)
+    assert failures == []
+    abs_D, errors, n_fallback = _evaluate(problem, _range_rows(problem.operator),
+                                          grid._rows(), 1e-6)
+    assert errors == {} and n_fallback == 0
+    assert_allclose(abs_D, want, rtol=0, atol=1e-12)
