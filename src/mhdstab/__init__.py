@@ -10,7 +10,6 @@ the small-magnetic-field stability limit.
 from .errors import (
     CharacteristicBoundary,
     ConfigError,
-    DegenerateBranchMatching,
     DimensionMismatch,
     MhdStabError,
     MissingBoundary,

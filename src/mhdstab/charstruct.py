@@ -26,8 +26,10 @@ The excluded regimes B = 0 and |B|^2 = rho c0^2 are detected and reported
 rather than classified.  A root of multiplicity m is nonglancing relative
 to the boundary when the m-th derivative of the characteristic polynomial
 in the normal frequency component does not vanish at the root; that
-derivative is read exactly off the factorized polynomial, and the branch
-group velocities are tracked numerically.
+derivative is read exactly off the factorized polynomial.  The branch
+group velocities are exact too: the symbol is symmetric in the
+symmetrizer's scaling and linear in xi, so (Rellich) the slopes of the m
+branches through the root are the eigenvalues of an m x m compression.
 """
 
 from __future__ import annotations
@@ -37,14 +39,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import (
-    DegenerateBranchMatching,
-    MissingBoundary,
-    SingularTransform,
-    ZeroFrequency,
-)
+from .errors import MissingBoundary, SingularTransform, ZeroFrequency
 from .symbol import (
     IDX_B,
     IDX_RHO,
@@ -187,6 +183,13 @@ def _check_xi(xi) -> tuple[np.ndarray, float]:
     return xi, xin
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for 3-vectors: np.cross's component formula without its overhead."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def wave_speeds(state: ThermoState, eos: EquationOfState, xi) -> WaveSpeeds:
     """Alfven/slow/fast speeds per unit |xi| at one (state, xi).
 
@@ -200,7 +203,7 @@ def wave_speeds(state: ThermoState, eos: EquationOfState, xi) -> WaveSpeeds:
     sqrt_rho = math.sqrt(rho)
 
     a = float(xi_hat @ B) / sqrt_rho
-    b = float(np.linalg.norm(np.cross(xi_hat, B))) / sqrt_rho
+    b = float(np.linalg.norm(_cross(xi_hat, B))) / sqrt_rho
     h_sq = float(B @ B) / rho
     c0_sq = c0_sq_from_eval(ev, rho, state.theta)
 
@@ -381,7 +384,7 @@ def tangent_basis(xi, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         v = xi_hat + sign * np.array([1.0, 0.0, 0.0])
         H = np.eye(3) - 2.0 * np.outer(v, v) / (v @ v)
         t1 = H[:, 1]
-    t2 = np.cross(xi_hat, t1)
+    t2 = _cross(xi_hat, t1)
     return xi_hat, t1, t2
 
 
@@ -439,17 +442,23 @@ def adapted_change_of_basis(state: ThermoState, eos: EquationOfState, xi) -> np.
     return V
 
 
+def _symmetric_symbol(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:
+    """H(xi) = D A(xi) D^-1 with D = S^(1/2), S the diagonal symmetrizer.
+
+    S A is symmetric, so H is: it has A's eigenvalues and an orthonormal
+    eigenvector set, and it is linear in xi like A.
+    """
+    D = np.sqrt(np.diag(symmetrizer(state, eos)))
+    return D[:, None] * assemble_full_symbol(state, eos, xi) / D
+
+
 def _geometric_multiplicity(state: ThermoState, eos: EquationOfState, xi,
                             lam: float, band: float) -> int:
-    """Eigenvector count at eigenvalue lam via the S-symmetric eigenproblem.
-
-    S A is symmetric and S positive definite, so eigh(S A, S) returns real
-    eigenvalues with a full S-orthogonal eigenvector set; the geometric
-    multiplicity is the count of eigenvalues inside the merge band.
+    """Eigenvector count at eigenvalue lam: the eigenvalues of the symmetric
+    H(xi) inside the merge band, H being diagonalizable by an orthogonal
+    matrix.
     """
-    A = assemble_full_symbol(state, eos, xi)
-    S = symmetrizer(state, eos)
-    w = scipy.linalg.eigh(S @ A, S, eigvals_only=True)
+    w = np.linalg.eigvalsh(_symmetric_symbol(state, eos, xi))
     return int(np.sum(np.abs(w - lam) <= max(band, 1e-12 * max(1.0, abs(lam)))))
 
 
@@ -464,7 +473,7 @@ def _detect_regime(state: ThermoState, eos: EquationOfState, xi,
 
     b_zero = Bn <= tol_manifold * math.sqrt(rho_c0_sq)
     dot = abs(float(xi_hat @ B))
-    cross = float(np.linalg.norm(np.cross(xi_hat, B)))
+    cross = float(np.linalg.norm(_cross(xi_hat, B)))
     dot_zero = b_zero or dot <= tol_manifold * Bn
     cross_zero = (not b_zero) and cross <= tol_manifold * Bn
 
@@ -553,13 +562,14 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     m! * prod_{j not in root}(lambda_j - lambda_root) -- the two differ
     exactly by the product of the branch group velocities -- so the
     scale-relative tolerance 1e-8 acts in velocity units.  totally: all m
-    branch group velocities d(lambda)/d(xi_d) - sigma share one sign, the
-    branches being tracked by continuity through xi_d -> xi_d +- eps with
-    eps = 1e-3 |xi|.  The entropy double needs no tracking: its
-    branches are exactly lambda = u . xi, so both velocities are u_d -
-    sigma, however close another root sits.  Raises ValueError when
-    root.lam is not an eigenvalue of multiplicity m at xi, and
-    DegenerateBranchMatching when the continuation window is ambiguous.
+    branch group velocities d(lambda)/d(xi_d) - sigma share one sign.  The
+    velocities are exact: H(xi + t e_d) = H(xi) + t H(e_d) is symmetric, so
+    (Rellich) the m eigenvalue branches through the root are analytic in t
+    and their slopes are the eigenvalues of W^T H(e_d) W, W the m
+    orthonormal eigenvectors of H(xi) at the root (`_symmetric_symbol`).
+    The entropy double needs no eigensolve: its branches are exactly
+    lambda = u . xi, so both velocities are u_d - sigma.  Raises ValueError
+    when root.lam is not an eigenvalue of multiplicity m at xi.
     """
     if boundary is None:
         raise MissingBoundary("nonglancing_test requires boundary data")
@@ -570,7 +580,6 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     d, sigma = boundary.axis, boundary.sigma
     ws = wave_speeds(state, eos, xi)
     vel_scale = max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
-    eps = 1e-3 * xin
 
     # same-order tau derivative of P at the root: the sigma shift cancels in
     # the eigenvalue gaps
@@ -605,28 +614,14 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     deriv = math.factorial(m) * float(coef[m])
     nonglancing = abs(deriv) > 1e-8 * max(denom, 1e-300)
 
-    # Branch group velocities through the root.
-    window = 3.0 * eps * vel_scale
-
-    def branch_values(sign: float) -> np.ndarray:
-        A = assemble_full_symbol(state, eos, xi + sign * eps * e_d)
-        evs = np.sort(np.linalg.eigvals(A).real)
-        dist = np.abs(evs - root.lam)
-        order = np.argsort(dist)
-        if dist[order[m - 1]] > window:
-            raise DegenerateBranchMatching(
-                f"branch moved beyond the continuation window at step {eps:.3e}")
-        if m < 8 and dist[order[m]] < 1.5 * window:
-            raise DegenerateBranchMatching(
-                f"extraneous eigenvalue within the continuation window at step "
-                f"{eps:.3e}: separation {dist[order[m]]:.3e}")
-        return np.sort(evs[order[:m]])
-
     if root.families == (FAMILY_ENTROPY,):
         # the entropy branches are exactly lambda = u . xi: both move at u_d
         velocities = np.full(m, float(state.u[d - 1]) - sigma)
     else:
-        velocities = (branch_values(+1.0) - branch_values(-1.0)) / (2.0 * eps) - sigma
+        w, V = np.linalg.eigh(_symmetric_symbol(state, eos, xi))
+        W = V[:, np.argsort(np.abs(w - root.lam))[:m]]
+        velocities = np.linalg.eigvalsh(
+            W.T @ _symmetric_symbol(state, eos, e_d) @ W) - sigma
 
     vel_tol = 1e-8 * vel_scale
     incoming = int(np.sum(velocities > vel_tol))

@@ -25,10 +25,6 @@ class MissingBoundary(MhdStabError):
     """A boundary {axis, frame speed} is required for a glancing verdict."""
 
 
-class DegenerateBranchMatching(MhdStabError):
-    """Eigenvalue continuation across the boundary-axis step is ambiguous."""
-
-
 class CharacteristicBoundary(MhdStabError):
     """det A_d is below the noncharacteristic threshold."""
 

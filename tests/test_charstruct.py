@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mhdstab.errors import (
-    DegenerateBranchMatching,
     MissingBoundary,
     SingularTransform,
     ZeroFrequency,
@@ -494,17 +493,100 @@ def test_nonglancing_entropy_double_next_to_slow_pair(gas):
     assert_allclose(res.branch_velocities, [0.9, 0.9], rtol=1e-15)
 
 
-def test_nonglancing_reports_ambiguous_branches(gas):
-    # fast root separated from the Alfven/slow doubles by ~5e-4: inside the
-    # continuation window at the default step, so matching must refuse
+def test_nonglancing_fast_root_exact_velocity(gas):
+    # fast root separated from the Alfven/slow doubles by ~5e-4; at xi
+    # orthogonal to e_3 the fast branch has zero xi_3-slope by symmetry
+    # (c_f depends on xi_3 only through xi_3^2), so its velocity is -sigma
     st = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[1.2905, 0, 0])
     xi = [1, 0, 0]
-    roots, regime = classify(st, gas, xi, boundary=BoundaryFrame(axis=3, sigma=0.5))
+    boundary = BoundaryFrame(axis=3, sigma=0.5)
+    roots, regime = classify(st, gas, xi, boundary=boundary)
     assert regime.case == "c"
     fast = max(roots, key=lambda r: r.lam)
     assert fast.multiplicity == 1
-    with pytest.raises(DegenerateBranchMatching):
-        nonglancing_test(st, gas, fast, xi, BoundaryFrame(axis=3, sigma=0.5))
+    res = nonglancing_test(st, gas, fast, xi, boundary)
+    assert res.nonglancing and res.totally
+    assert (res.incoming_count, res.outgoing_count) == (0, 1)
+    assert res.branch_velocities == (-0.5,)
+
+
+def _designed_point(rng, case: str):
+    """A state, xi and boundary frame of regime a, b or c: |B|^2 at least
+    5% away from rho c0^2; xi generic (a), orthogonal to B (b) or along
+    B (c), about half the case-c frames moving at a glancing speed."""
+    while True:
+        rho, theta = 10.0 ** rng.uniform(-1, 1, 2)
+        c0_sq = (5.0 / 3.0) * theta  # IdealGas(R=1, c_v=1.5)
+        sub_field = case == "c" or rng.integers(2)
+        frac = rng.uniform(0.15, 0.75) if sub_field else rng.uniform(1.3, 3.0)
+        b_dir = rng.standard_normal(3)
+        B = frac * math.sqrt(rho * c0_sq) * b_dir / np.linalg.norm(b_dir)
+        if abs(B @ B - rho * c0_sq) > 0.05 * rho * c0_sq:
+            break
+    st = ThermoState(rho=rho, u=rng.uniform(-2.0, 2.0, 3), theta=theta, B=B)
+    d = int(rng.integers(1, 4))
+    sigma = rng.uniform(-3.0, 3.0)
+    Bn = np.linalg.norm(B)
+    v = rng.standard_normal(3)
+    if case == "a":
+        while abs(v @ B) <= 0.05 * Bn * np.linalg.norm(v) or np.linalg.norm(
+                np.cross(v, B)) <= 0.05 * Bn * np.linalg.norm(v):
+            v = rng.standard_normal(3)
+    elif case == "b":
+        v -= (v @ B) / Bn**2 * B
+    else:
+        v = B * rng.choice([-1.0, 1.0])
+        if rng.integers(2):
+            sigma = st.u[d - 1] + rng.choice([-1.0, 1.0]) * B[d - 1] / math.sqrt(rho)
+    xi = v / np.linalg.norm(v) * 10.0 ** rng.uniform(-1, 1)
+    return st, xi, BoundaryFrame(axis=d, sigma=sigma)
+
+
+def test_nonglancing_velocities_satisfy_coefficient_identity(gas):
+    # m! coef[m] of the factorized determinant equals the same-order tau
+    # derivative m! prod (lambda_j - lambda_root) times the product of the
+    # m branch velocities: an identity between the closed-form polynomial
+    # and the velocities that holds at crossing roots too
+    rng = np.random.default_rng(12)
+    tested = {"a": 0, "b": 0, "c": 0}
+    for case in "abc" * 30:
+        st, xi, boundary = _designed_point(rng, case)
+        roots, regime = classify(st, gas, xi, boundary=boundary)
+        assert regime.case == case
+        ws = wave_speeds(st, gas, xi)
+        vel_scale = max(ws.c_f, np.linalg.norm(st.u), abs(boundary.sigma), 1.0)
+        for root in (r for r in roots if r.multiplicity > 1):
+            m = root.multiplicity
+            gap_product = math.factorial(m) * math.prod(
+                (r.lam - root.lam) ** r.multiplicity for r in roots if r is not root)
+            res = nonglancing_test(st, gas, root, xi, boundary)
+            assert len(res.branch_velocities) == m
+            assert abs(res.derivative_value
+                       - gap_product * math.prod(res.branch_velocities)) <= (
+                1e-12 * abs(gap_product) * vel_scale**m), (case, root)
+            tested[case] += 1
+    assert tested == {"a": 30, "b": 30, "c": 90}
+
+
+def test_nonglancing_sextuple_root_analytic_velocities(gas):
+    # at xi.B = 0 the entropy, Alfven and slow roots coincide; their slopes
+    # in xi_d are u_d - sigma (twice), u_d - sigma +- B_d/sqrt(rho) and
+    # u_d - sigma +- (B_d/sqrt(rho)) c0/c_f with c_f^2 = c0^2 + |B|^2/rho
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        st, xi, boundary = _designed_point(rng, "b")
+        roots, regime = classify(st, gas, xi, boundary=boundary)
+        assert regime.case == "b"
+        sextuple = next(r for r in roots if r.multiplicity == 6)
+        res = nonglancing_test(st, gas, sextuple, xi, boundary)
+        d = boundary.axis
+        rel = st.u[d - 1] - boundary.sigma
+        alf = st.B[d - 1] / math.sqrt(st.rho)
+        ws = wave_speeds(st, gas, xi)
+        slow = alf * ws.c0 / math.sqrt(ws.c0**2 + st.B @ st.B / st.rho)
+        expected = np.sort([rel, rel, rel - alf, rel + alf, rel - slow, rel + slow])
+        got = np.array(res.branch_velocities)
+        assert np.all(np.abs(got - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def test_nonglancing_agrees_with_lemma_condition(gas):

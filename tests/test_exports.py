@@ -1,0 +1,27 @@
+"""Every exported name resolves, so a deletion cannot leave a dangling export."""
+
+import types
+
+import pytest
+
+import mhdstab
+from mhdstab import charstruct, errors, lopatinski, symbol, thermo
+
+MODULES = (charstruct, lopatinski, symbol, thermo)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_module_all_names_resolve(module):
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_package_reexports_declared_names():
+    # the package has no __all__: its public names are what it imports, and
+    # each must be an error class or a name some module exports
+    declared = set().union(*(m.__all__ for m in MODULES))
+    public = {n: v for n, v in vars(mhdstab).items()
+              if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    stray = [n for n, v in public.items() if n not in declared
+             and not (isinstance(v, type) and issubclass(v, errors.MhdStabError))]
+    assert stray == []
+    assert {"classify", "nonglancing_test", "uniform_scan", "MhdStabError"} <= set(public)
