@@ -40,9 +40,10 @@ Conventions, fixed once here and used consistently:
       - dimension 7 (a fast shock's downstream side, an inflow faster than
         the Alfven speed and slower than the fast speed): E_minus is the
         orthogonal complement of the left eigenvector w of the single
-        Im mu > 0 root, found by two steps of inverse iteration at that
-        root, and |D| = |det(V E)| = |det([V; w^H])| because [E w] is
-        unitary.
+        Im mu > 0 root, magnetoacoustic, so in closed form through the
+        symmetrizer S: w = conj(S A_d x)/|S A_d x| for its right eigenvector
+        x, whose velocity lies in the span of xi and B (`_Side.left_vector`);
+        |D| = |det(V E)| = |det([V; w^H])| because [E w] is unitary.
       - any other dimension: a batched `eig` plus QR.
     The per-point path (`stable_subspace` per side, then `lopatinski_det`)
     is the reference, and the fallback for every row the batch cannot trust.
@@ -84,7 +85,7 @@ from .errors import (
     RankDeficiency,
     SpectralSplitFailure,
 )
-from .symbol import assemble_full_symbol, boundary_matrix, unit_vector
+from .symbol import assemble_full_symbol, boundary_matrix, symmetrizer, unit_vector
 from .thermo import (
     EquationOfState,
     ThermoState,
@@ -128,13 +129,14 @@ _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Frequency parametrization and grids
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryFrequency:
     """One point zeta = (tau - i gamma_L, eta) of the frequency space.
 
     Scan grids live on the closed unit hemisphere tau^2 + gamma_L^2 +
     |eta|^2 = 1, gamma_L >= 0; the assembly routines accept any finite
-    point since G is linear in zeta.
+    point since G is linear in zeta.  Points compare and hash by the floats
+    (tau, gamma_L, eta1, eta2).
     """
 
     tau: float
@@ -149,6 +151,15 @@ class BoundaryFrequency:
             raise ValueError(f"frequency must be finite, got {self.to_dict()}")
         if self.gamma_L < 0.0:
             raise ValueError(f"gamma_L must be >= 0, got {self.gamma_L}")
+
+    def _key(self) -> tuple[float, float, float, float]:
+        return (self.tau, self.gamma_L, float(self.eta[0]), float(self.eta[1]))
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, BoundaryFrequency) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def norm(self) -> float:
@@ -276,8 +287,9 @@ class _Side:
     """One side's reduced symbol s G, kept as its three coefficients in zeta
     (s A_d^{-1} is also the continuation matrix), and dim = dim E_minus(s G),
     the number of positive eigenvalues of s A_d.  s = -1 reflects a shock's
-    upstream side.  The scan also takes the side's eigenvalues in closed
-    form (`roots`) and, for a definite side, the symmetrizer bound
+    upstream side.  The scan also takes the side's eigenvalues and the left
+    eigenvector at a magnetoacoustic root in closed form (`roots`,
+    `left_vector`) and, for a definite side, the symmetrizer bound
     |Im mu| >= gamma * damping (see `_evaluate`; damping is 0 elsewhere)."""
 
     def __init__(self, state: ThermoState, eos: EquationOfState, d: int,
@@ -293,15 +305,18 @@ class _Side:
         lam = np.linalg.eigvals(self.a_d_inv)
         definite = self.dim in (0, 8) and np.all((lam.real > 0.0) == (self.dim == 8))
         self.damping = float(np.abs(lam).min()) if definite else 0.0
-        # the constants of the dispersion relation, with b = B / sqrt(rho)
-        b = state.B / math.sqrt(state.rho)
-        t = np.array(axes) - 1
+        # the constants of the dispersion relation, with b = B / sqrt(rho),
+        # and of the eigenvectors: S A_d (symmetric) and kappa
+        self.u, self.b = state.u, state.B / math.sqrt(state.rho)
+        self.axes = np.array(axes) - 1, d - 1
         self.sign = sign
-        self.u_t, self.u_d = state.u[t], float(state.u[d - 1])
-        self.b_t, self.b_d = b[t], float(b[d - 1])
-        self.c0_sq = c0_sq_from_eval(eval_eos(eos, state.rho, state.theta),
-                                     state.rho, state.theta)
+        self.u_t, self.u_d = self.u[self.axes[0]], float(self.u[d - 1])
+        self.b_t, self.b_d = self.b[self.axes[0]], float(self.b[d - 1])
+        ev = eval_eos(eos, state.rho, state.theta)
+        self.c0_sq = c0_sq_from_eval(ev, state.rho, state.theta)
         self.h_sq = float(state.B @ state.B) / state.rho
+        self.rho, self.kappa = state.rho, ev.P_theta * state.theta / (state.rho * ev.e_theta)
+        self.sym_a_d = symmetrizer(state, eos) @ A_d
         # `roots` solves the magnetoacoustic quartic in mu (for B = 0 the
         # quadratic T - c0^2 S), whose leading coefficient is a factor of det
         # A_d.  Near a characteristic boundary it cancels against the terms
@@ -383,6 +398,34 @@ class _Side:
             mu = np.column_stack([entropy, entropy, mu])
         return np.column_stack([entropy, entropy, *alfven, mu]), ok
 
+    def left_vector(self, P: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        """Unit w with (s G)^H w = conj(mu) w at each row (tau, ., eta1, eta2)
+        of P with the damping gamma, for mu a magnetoacoustic root there.
+
+        With xi = (eta, -s mu) and tau_tilde as in `roots`, s G x = mu x iff
+        (tau_tilde I + A_tilde(xi)) x = 0, solved by x = (-rho q, tau_tilde
+        u', -kappa q, (B.xi) u' - q B), kappa = P_theta theta / (rho e_theta),
+        q = xi.u', u' = alpha xi + beta b: (alpha, beta) is the larger of the
+        null vectors (T, -m S) and (c0^2 m, T - k S) of [[T - k S, -c0^2 m],
+        [m S, T]] (m = xi.b, k = c0^2 + h^2), whose determinant is the
+        quartic.  As S A_j is symmetric, w is conj(S A_d x) normalized.  The
+        caller tests the residual; a degenerate row may come out not finite."""
+        xi = np.empty((len(P), 3), dtype=complex)
+        xi[:, self.axes[0]] = P[:, 2:4]
+        xi[:, self.axes[1]] = -self.sign * mu
+        tt = P[:, 0] - 1j * gamma + xi @ self.u
+        m, S, T = xi @ self.b, np.sum(xi * xi, axis=1), tt * tt
+        one, two = (T, -m * S), (self.c0_sq * m, T - (self.c0_sq + self.h_sq) * S)
+        with np.errstate(invalid="ignore", over="ignore"):
+            first = np.abs(one[0])**2 + np.abs(one[1])**2 >= np.abs(two[0])**2 + np.abs(two[1])**2
+            alpha, beta = (np.where(first, a, b)[:, None] for a, b in zip(one, two))
+            v = alpha * xi + beta * self.b
+            q = np.sum(xi * v, axis=1)[:, None]
+            x = np.concatenate([-self.rho * q, tt[:, None] * v, -self.kappa * q,
+                                math.sqrt(self.rho) * (m[:, None] * v - q * self.b)], axis=1)
+            y = x @ self.sym_a_d
+            return y.conj() / np.linalg.norm(y, axis=1, keepdims=True)
+
 
 def _quadratic_roots(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """The roots of each y^2 + beta y + gamma, as (N, 2): the one of larger
@@ -439,7 +482,7 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
     eigenvalues sorted first.  This is the per-point reference: scans take
     E_minus without it (a symmetrizer certificate or the signs of the
     closed-form roots for a side of dimension 0 or 8, the orthogonal
-    complement of the left eigenvector at the closed-form unstable root for
+    complement of the closed-form left eigenvector at the unstable root for
     dimension 7, a batched eigendecomposition plus QR otherwise) and come
     back here only for the rows the batch cannot trust.  At the hemisphere
     boundary (gamma_L = 0, extended to gamma_L <= 1e-8 where the gap is
@@ -723,7 +766,7 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
     Per side, on the stacked G (shifted at continuation rows), with the
     roots mu of `_Side.roots` where they are trusted and of the 8x8
     `eigvals` elsewhere (every row of a side without `closed_form`, and of
-    a side known only by its G):
+    a side of dimension 0 or 8 known only by its G):
       * dimension 0 or 8: E_minus is 0 or C^8.  When the side's a_d_inv has
         all its eigenvalues of the sign dim implies, the symmetrizer's energy
         identity gives every eigenvalue of G that sign's Im mu with |Im mu| >=
@@ -731,12 +774,14 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
         continuation rows), so a row whose bound clears the gap test twice
         over needs no eigenvalues; the other rows count the signs of mu.
       * dimension 7: E_minus is the orthogonal complement of the left
-        eigenvector w of the single Im mu > 0 root (`_left_vector`), so
-        `_abs_det` takes w^H in place of a basis: for the fast shock |D| =
-        |det([V[:, :8]; w^H])|, an 8x8 determinant.
-      * any other: the QR of the Im mu < 0 unit eigenvectors of a batched `eig`.
+        eigenvector w of the single Im mu > 0 root, in closed form
+        (`_Side.left_vector`), so `_abs_det` takes w^H in place of a basis:
+        for the fast shock |D| = |det([V[:, :8]; w^H])|, an 8x8 determinant.
+      * any other, and dimension 7 on a side known only by its G: the QR of
+        the Im mu < 0 unit eigenvectors of a batched `eig`.
     A row goes to `_point_abs_D` when a count is wrong, min |Im mu| < 1e-8,
-    the left vector fails its residual test, min |r_ii| < 1e-6 max |r_ii|, or
+    the left vector's residual |G^H w - conj(mu) w| exceeds 5e-14 |G|_F
+    (about 200 rounding units), min |r_ii| < 1e-6 max |r_ii|, or
     `range_rows` does not vouch for it; so failures come from there.
     """
     cont = P[:, 1] <= 1e-8  # as in stable_subspace
@@ -753,7 +798,7 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
             G = side.G(P[need])
             shift = cont[need]
             G[shift] -= (1j * (eps_cont - P[need][shift, 1]))[:, None, None] * side.a_d_inv
-            if side.dim in (0, 7, 8):
+            if side.dim in (0, 8) or (known and side.dim == 7):
                 if known and side.closed_form:
                     mu, ok = side.roots(P[need], gamma[need])
                     if not ok.all():
@@ -761,8 +806,15 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
                 else:
                     mu = np.linalg.eigvals(G)
                 if side.dim == 7:
-                    w, ok = _left_vector(G, mu[np.arange(len(G)), np.argmax(mu.imag, axis=1)])
-                    E = _Complement(w.conj()[:, None, :])
+                    top = mu[np.arange(len(G)), np.argmax(mu.imag, axis=1)]
+                    wh = side.left_vector(P[need], gamma[need], top).conj()
+                    # |w^H G - mu w^H| = |G^H w - conj(mu) w|; a failed row
+                    # keeps a finite stand-in
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        residual = np.linalg.norm((wh[:, None, :] @ G)[:, 0] - top[:, None] * wh,
+                                                  axis=1)
+                    ok = residual <= 5e-14 * np.linalg.norm(G, axis=(1, 2))
+                    E = _Complement(np.where(ok[:, None], wh, 8.0 ** -0.5)[:, None, :])
                     trusted &= ok
             else:
                 mu, X = np.linalg.eig(G)
@@ -788,49 +840,6 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
             abs_D[i] = np.nan
             errors[int(i)] = exc
     return abs_D, errors, int(np.count_nonzero(~trusted))
-
-
-def _left_vector(G: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit w with G^H w = conj(mu) w at each matrix of the stack G, for a
-    simple eigenvalue mu of each: two steps of inverse iteration on G^H -
-    conj(mu) from the all-ones vector.  ok where the residual |G^H w -
-    conj(mu) w| is at most 5e-14 |G|_F, about 200 rounding units (one step
-    does not always get there).  The solves take the shift moved by one
-    rounding unit of |G|_F, as LAPACK's inverse iteration moves a zero
-    pivot: with mu exact to the last bit, as the closed form gives it, the
-    LU of G^H - conj(mu) often comes out exactly singular.  A row whose
-    moved LU is exactly singular is solved again unmoved; a row that fails
-    both gets the unit all-ones vector, so the stack stays finite."""
-    scale = np.linalg.norm(G, axis=(1, 2))
-    A = G.conj().transpose(0, 2, 1) - mu.conj()[:, None, None] * np.eye(8)
-
-    def iterate(A):
-        w = np.ones((len(A), 8, 1), dtype=complex)
-        for _ in range(2):
-            w = _solve(A, w)
-            w /= np.linalg.norm(w, axis=1, keepdims=True)
-        return w
-
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        w = iterate(A + (np.finfo(float).eps * scale)[:, None, None] * np.eye(8))
-        singular = np.isnan(w[:, 0, 0])
-        if singular.any():
-            w[singular] = iterate(A[singular])
-        residual = np.linalg.norm(A @ w, axis=(1, 2))
-    ok = residual <= 5e-14 * scale
-    return np.where(ok[:, None], w[..., 0], 8.0 ** -0.5), ok
-
-
-def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve over a stack, with NaN rows where the LU of A is exactly
-    singular (the batched call raises for the whole stack)."""
-    try:
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        if len(A) == 1:
-            return np.full_like(b, np.nan)
-        h = len(A) // 2
-        return np.concatenate([_solve(A[:h], b[:h]), _solve(A[h:], b[h:])])
 
 
 def _scan(problem: _ScanProblem, grid, eps_cont: float,
@@ -1122,12 +1131,7 @@ def _rh_scales(upstream_vec: np.ndarray, eos: EquationOfState, axis: int) -> np.
     V = max(ws.c_f, abs(u[axis - 1]), 1e-30)
     m = rho * V
     b_scale = max(float(np.linalg.norm(B)), math.sqrt(rho) * V)
-    scales = np.empty(7)
-    scales[0] = m
-    scales[1:4] = m * V
-    scales[4] = m * V * V
-    scales[5:7] = V * b_scale
-    return scales
+    return np.array([m, m * V, m * V, m * V, m * V * V, V * b_scale, V * b_scale])
 
 
 def _rh_residual(left_vec: np.ndarray, right_vec: np.ndarray,
@@ -1169,13 +1173,7 @@ def _gas_seed(upstream_vec: np.ndarray, eos: EquationOfState, axis: int,
     t1, t2 = _tangential_axes(axis)
     u_plus = u.copy()
     u_plus[axis - 1] = w_minus / r
-    x0 = np.empty(7)
-    x0[0] = rho * r
-    x0[1:4] = u_plus
-    x0[4] = theta * p_ratio / r
-    x0[5] = B[t1 - 1] * r
-    x0[6] = B[t2 - 1] * r
-    return x0
+    return np.array([rho * r, *u_plus, theta * p_ratio / r, B[t1 - 1] * r, B[t2 - 1] * r])
 
 
 def _pack_downstream(x: np.ndarray, upstream_vec: np.ndarray, axis: int) -> np.ndarray:

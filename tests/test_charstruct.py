@@ -477,9 +477,9 @@ def test_nonglancing_flow_aligned_entropy_root_is_glancing(gas):
 
 
 def test_nonglancing_entropy_double_next_to_slow_pair(gas):
-    # the slow pair sits about 0.0027 |xi| from the entropy double, inside
-    # the branch-tracking window; the entropy branches are exactly u . xi,
-    # so the verdict needs no tracking: both velocities are u_d - sigma
+    # the slow pair sits about 0.0027 |xi| from the entropy double; the
+    # entropy branches are exactly u . xi, so however close the slow pair
+    # sits, both velocities are u_d - sigma to the last bit
     st = ThermoState(rho=1.0, u=[0.3, -0.2, 0.5], theta=1.0, B=[1.0, 0, 0])
     xi = np.array([0.004, 1.0, 0.0])
     boundary = BoundaryFrame(axis=3, sigma=-0.4)
@@ -628,7 +628,8 @@ def test_nonglancing_agrees_with_lemma_condition(gas):
 
 
 def test_nonglancing_rejects_root_outside_spectrum(gas):
-    # a value off the spectrum is a caller error, not a branch-matching failure
+    # a value off the spectrum matches no root of the merged spectrum: a
+    # caller error, raised as ValueError
     st = ThermoState(rho=1.0, u=[0.3, -0.1, 0.5], theta=1.0, B=[0.8, 0.2, 0.6])
     xi = [0.4, 1.0, 0.6]
     roots, regime = classify(st, gas, xi)

@@ -71,6 +71,18 @@ def test_boundary_frequency_normalization():
         BoundaryFrequency(1.0, -0.1, [0, 0])
 
 
+def test_boundary_frequency_equality_and_hash():
+    # equal points compare and hash equal whatever form eta came in; a point
+    # differing in one component does not compare equal
+    a = BoundaryFrequency(0.3, 0.5, [0.1, -0.2])
+    b = BoundaryFrequency(0.3, 0.5, np.array([0.1, -0.2]))
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert BoundaryFrequency.from_dict(a.to_dict()) == a
+    assert len({a, b, BoundaryFrequency(0.0, 0.0, [1.0, 0.0])}) == 2
+    assert a != BoundaryFrequency(0.3, 0.5, [0.1, 0.2]) and a != (0.3, 0.5, 0.1, -0.2)
+    assert ExplicitGrid([a]) == ExplicitGrid([b]) and hash(ExplicitGrid([a])) == hash(ExplicitGrid([b]))
+
+
 @pytest.mark.parametrize("tau, gamma_L, eta", [
     (np.nan, 0.5, [0.1, 0.2]),
     (np.inf, 0.5, [0.1, 0.2]),
@@ -921,10 +933,10 @@ def test_batched_scan_certifies_definite_side_and_skips_eig(gas, monkeypatch):
 
 def test_batched_scan_survives_exactly_singular_inverse_iteration(gas):
     # at this row of the B = 0 Mach-2 shock the LU of G^H - conj(mu+) for the
-    # downstream side comes out exactly singular (with the LAPACK at hand),
-    # although mu+ is 1.73 away from the other roots; a batched solve raises
-    # for the whole stack, so the row must fall back alone, in a stack longer
-    # than a chunk as well
+    # downstream side came out exactly singular when the left eigenvector
+    # was found by inverse iteration, although mu+ is 1.73 away from the
+    # other roots; the closed-form left vector must hold there too, alone and
+    # in a stack longer than a chunk
     sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0]),
                           family="fast", mach=2.0, d=3)
     problem = _shock_problem(sh, 1e-10)
@@ -944,16 +956,17 @@ def test_batched_scan_survives_exactly_singular_inverse_iteration(gas):
 
 
 def test_scan_reports_fallback_rows_of_sweep_and_polish(gas, monkeypatch):
-    # with no left vector trusted, every sweep and polish row of a fast-shock
-    # scan takes the per-point path and is counted, with the same |D|
+    # with a left vector that fails its residual test, every sweep and polish
+    # row of a fast-shock scan takes the per-point path and is counted, with
+    # the same |D|
     from mhdstab import lopatinski
 
     sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
                           family="fast", mach=2.0, d=3)
     grid = HemisphereGrid(n_phi=1, n_sphere=8, equator_refine=1)
     fast = shock_scan(sh, grid, polish_rounds=1)
-    monkeypatch.setattr(lopatinski, "_left_vector",
-                        lambda G, mu: (np.ones((len(G), 8)), np.zeros(len(G), dtype=bool)))
+    monkeypatch.setattr(lopatinski._Side, "left_vector",
+                        lambda self, P, gamma, mu: np.full((len(P), 8), 8.0 ** -0.5))
     slow = shock_scan(sh, grid, polish_rounds=1)
     assert fast.n_fallback == 0
     assert slow.n_fallback == grid.n_points + 124 == 140
@@ -979,12 +992,12 @@ def _matched_error(mu, ref):
     return err
 
 
-def test_closed_form_roots_match_batched_eigvals(gas):
-    # the interior rows of the bench grid and its equator rows shifted to
-    # gamma = eps_cont, as the scan's continuation takes them, on the sides
-    # of the Mach-2 shock (its downstream side of dimension 7 and its
-    # reflected, s = -1, upstream side) as |B| -> 0, of an oblique shock, and
-    # a subsonic inflow of dimension 7
+def _closed_form_cases(gas):
+    """The interior rows of the bench grid and its equator rows shifted to
+    gamma = eps_cont, as the scan's continuation takes them, as (P, gamma),
+    and the sides of the Mach-2 shock (its downstream side of dimension 7
+    and its reflected, s = -1, upstream side) as |B| -> 0, of an oblique
+    shock, and a subsonic inflow of dimension 7."""
     P = HemisphereGrid(2, 40, 2)._rows()
     equator = P[:, 1] == 0.0
     P = np.concatenate([P[~equator], P[equator]])
@@ -999,6 +1012,11 @@ def test_closed_form_roots_match_batched_eigvals(gas):
     sides += _shock_problem(sh, 1e-10).sides
     sides.append(_Side(SUBSONIC_STATE, gas, 3, 1e-10))
     assert [(side.dim, side.sign) for side in sides] == [(7, 1.0), (0, -1.0)] * 5 + [(7, 1.0)]
+    return P, gamma, sides
+
+
+def test_closed_form_roots_match_batched_eigvals(gas):
+    P, gamma, sides = _closed_form_cases(gas)
     for side in sides:
         assert side.closed_form
         mu, ok = side.roots(P, gamma)
@@ -1008,6 +1026,28 @@ def test_closed_form_roots_match_batched_eigvals(gas):
         counts = np.count_nonzero(mu[ok].imag < 0.0, axis=1)
         assert np.array_equal(counts, np.count_nonzero(ref[ok].imag < 0.0, axis=1))
         assert np.all(counts == side.dim)
+
+
+def test_closed_form_left_vector_matches_eig_left(gas):
+    # on every dimension-7 side and row of the roots test, the closed-form
+    # left eigenvector at the unstable root mu+ passes the scan's residual
+    # test and is, up to a phase, the left eigenvector LAPACK gives there
+    P, gamma, sides = _closed_form_cases(gas)
+    for side in sides:
+        if side.dim != 7:
+            continue
+        G = side.G(np.column_stack([P[:, 0], gamma, P[:, 2:]]))
+        mu, ok = side.roots(P, gamma)
+        mu[~ok] = np.linalg.eigvals(G[~ok])
+        top = mu[np.arange(len(P)), np.argmax(mu.imag, axis=1)]
+        w = side.left_vector(P, gamma, top)
+        residual = np.linalg.norm(
+            (G.conj().transpose(0, 2, 1) @ w[..., None])[..., 0] - top.conj()[:, None] * w, axis=1)
+        assert np.all(residual <= 5e-14 * np.linalg.norm(G, axis=(1, 2)))
+        for G_i, mu_i, w_i in zip(G, top, w):
+            lam, left = scipy.linalg.eig(G_i, left=True, right=False)
+            j = np.argmin(np.abs(lam - mu_i))
+            assert abs(np.vdot(left[:, j], w_i)) / np.linalg.norm(left[:, j]) >= 1.0 - 1e-12
 
 
 def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
@@ -1053,10 +1093,10 @@ def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
 def test_batched_scan_retries_an_exactly_singular_moved_shift(gas):
     # at this row of the B = 0 Mach-2 shock the closed-form mu+ of the
     # downstream side is exact enough that the LU of G^H - conj(mu+), with the
-    # shift moved by one rounding unit, comes out exactly singular (with the
-    # LAPACK at hand) while the unmoved one does not: `_left_vector` solves
-    # the row again unmoved, so it stays on the batched path, in a stack
-    # longer than a chunk as well
+    # shift moved by one rounding unit, came out exactly singular when the
+    # left eigenvector was found by inverse iteration; the closed-form left
+    # vector keeps the row on the batched path, in a stack longer than a
+    # chunk as well
     sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0]),
                           family="fast", mach=2.0, d=3)
     problem = _shock_problem(sh, 1e-10)
