@@ -20,14 +20,14 @@ Conventions, fixed once here and used consistently:
   * Scans evaluate stacks of rows (tau, gamma_L, eta1, eta2) at once, with
     orthonormal rows V spanning range(M^H) (one SVD per scan for a constant
     operator, a closed form for the shock operator) and E_minus per side.
-    On a side of dimension 0, 7 or 8 the eigenvalues mu of s G come in
-    closed form: they are the roots of det((tau - i gamma) I + A(eta,
-    -s mu)), the factored MHD dispersion polynomial of
-    `charstruct._char_poly_factors` at a complex xi, that is an entropy
-    double and an Alfven pair linear in mu and a magnetoacoustic quartic,
-    solved by Ferrari and polished by Newton (`_Side.roots`).  A row whose
-    roots cannot be trusted, and every row of a side close to a
-    characteristic boundary, takes the 8x8 `eigvals` instead.
+    The eigenvalues mu of a side's s G come in closed form: they are the
+    roots of det((tau - i gamma) I + A(eta, -s mu)), the factored MHD
+    dispersion polynomial of `charstruct._char_poly_factors` at a complex
+    xi, that is an entropy double and an Alfven pair linear in mu and a
+    magnetoacoustic quartic, solved by Ferrari and polished by Newton
+    (`_Side.roots`).  A row whose roots cannot be trusted, and every row
+    of a side close to a characteristic boundary, takes the 8x8 `eigvals`
+    instead.
       - dimension 0 or 8 (a fast shock's upstream side, supersonic inflow):
         the Friedrichs symmetrizer S > 0 makes every S A_j symmetric, so
         x^H S applied to (tau - i gamma) x + eta . A_t x = mu s A_d x, the
@@ -37,14 +37,12 @@ Conventions, fixed once here and used consistently:
         Im mu the dimension requires and |Im mu| >= gamma min |lambda(s
         A_d^{-1})|; rows where that bound clears the gap test need no
         eigenvalues at all, the others count the signs of the roots.
-      - dimension 7 (a fast shock's downstream side, an inflow faster than
-        the Alfven speed and slower than the fast speed): E_minus is the
-        orthogonal complement of the left eigenvector w of the single
-        Im mu > 0 root, magnetoacoustic, so in closed form through the
-        symmetrizer S: w = conj(S A_d x)/|S A_d x| for its right eigenvector
-        x, whose velocity lies in the span of xi and B (`_Side.left_vector`);
-        |D| = |det(V E)| = |det([V; w^H])| because [E w] is unitary.
-      - any other dimension: a batched `eig` plus QR.
+      - dimension 1 to 7: E_minus is the orthogonal complement of the left
+        eigenvectors at the 8 - dim roots with Im mu > 0, each in closed form
+        through S: w = conj(S A_d x)/|S A_d x| for x a right null vector of
+        (tau - i gamma) I + A(eta, -s mu), by family (`_Side.left_vector`);
+        |D| = |det(V E)| = |det([V; W^H])|, W an orthonormal basis of the w,
+        because [E W] is unitary: for a fast shock one 8x8 determinant.
     The per-point path (`stable_subspace` per side, then `lopatinski_det`)
     is the reference, and the fallback for every row the batch cannot trust.
 
@@ -287,10 +285,10 @@ class _Side:
     """One side's reduced symbol s G, kept as its three coefficients in zeta
     (s A_d^{-1} is also the continuation matrix), and dim = dim E_minus(s G),
     the number of positive eigenvalues of s A_d.  s = -1 reflects a shock's
-    upstream side.  The scan also takes the side's eigenvalues and the left
-    eigenvector at a magnetoacoustic root in closed form (`roots`,
-    `left_vector`) and, for a definite side, the symmetrizer bound
-    |Im mu| >= gamma * damping (see `_evaluate`; damping is 0 elsewhere)."""
+    upstream side.  The scan also takes the side's eigenvalues and left
+    eigenvectors in closed form (`roots`, `left_vector`, `complement`) and,
+    for a definite side, the symmetrizer bound |Im mu| >= gamma * damping
+    (see `_evaluate`; damping is 0 elsewhere)."""
 
     def __init__(self, state: ThermoState, eos: EquationOfState, d: int,
                  tol_det: float, sign: float = 1.0, where: str = "boundary"):
@@ -312,7 +310,11 @@ class _Side:
         self.sign = sign
         self.u_t, self.u_d = self.u[self.axes[0]], float(self.u[d - 1])
         self.b_t, self.b_d = self.b[self.axes[0]], float(self.b[d - 1])
+        # the columns of `roots` linear in mu with Im mu > 0 at every gamma > 0
+        self.unstable_linear = np.flatnonzero(
+            sign * (self.u_d + self.b_d * np.array([0, 0, -1, 1])) < 0.0)
         ev = eval_eos(eos, state.rho, state.theta)
+        self.p_rho, self.p_theta = ev.P_rho, ev.P_theta
         self.c0_sq = c0_sq_from_eval(ev, state.rho, state.theta)
         self.h_sq = float(state.B @ state.B) / state.rho
         self.rho, self.kappa = state.rho, ev.P_theta * state.theta / (state.rho * ev.e_theta)
@@ -398,33 +400,72 @@ class _Side:
             mu = np.column_stack([entropy, entropy, mu])
         return np.column_stack([entropy, entropy, *alfven, mu]), ok
 
-    def left_vector(self, P: np.ndarray, gamma: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    def left_vector(self, P: np.ndarray, gamma: np.ndarray, mu: np.ndarray,
+                    col: int) -> np.ndarray:
         """Unit w with (s G)^H w = conj(mu) w at each row (tau, ., eta1, eta2)
-        of P with the damping gamma, for mu a magnetoacoustic root there.
-
-        With xi = (eta, -s mu) and tau_tilde as in `roots`, s G x = mu x iff
-        (tau_tilde I + A_tilde(xi)) x = 0, solved by x = (-rho q, tau_tilde
-        u', -kappa q, (B.xi) u' - q B), kappa = P_theta theta / (rho e_theta),
-        q = xi.u', u' = alpha xi + beta b: (alpha, beta) is the larger of the
-        null vectors (T, -m S) and (c0^2 m, T - k S) of [[T - k S, -c0^2 m],
-        [m S, T]] (m = xi.b, k = c0^2 + h^2), whose determinant is the
-        quartic.  As S A_j is symmetric, w is conj(S A_d x) normalized.  The
-        caller tests the residual; a degenerate row may come out not finite."""
+        of P with the damping gamma, for mu its root in column col of `roots`:
+        w = conj(S A_d x) normalized (S A_j is symmetric), x a null vector of
+        tau_tilde I + A_tilde(xi), xi = (eta, -s mu).  Entropy (col 0, 1;
+        tau_tilde = 0): x = (P_theta, 0, 0, 0, -P_rho, 0, 0, 0) or (0, .., 0,
+        xi).  Alfven (col 2, 3; tau_tilde = +-m exactly): (0, +-v, 0,
+        sqrt(rho) v), v = xi x b.  Magnetoacoustic (col >= 4): (-rho q,
+        tau_tilde u', -kappa q, (B.xi) u' - q B), kappa = P_theta theta / (rho
+        e_theta), u' = alpha xi + beta b for (alpha, beta) the larger null
+        vector (T, -m S) or (c0^2 m, T - k S) of [[T - k S, -c0^2 m], [m S,
+        T]] (m = xi.b, k = c0^2 + h^2), whose determinant is the quartic, and
+        q = xi.u' = S (T - F) or m (T - h^2 S), not a sum that cancels.  A
+        degenerate row may come out not finite; the caller tests residuals."""
         xi = np.empty((len(P), 3), dtype=complex)
         xi[:, self.axes[0]] = P[:, 2:4]
         xi[:, self.axes[1]] = -self.sign * mu
-        tt = P[:, 0] - 1j * gamma + xi @ self.u
-        m, S, T = xi @ self.b, np.sum(xi * xi, axis=1), tt * tt
-        one, two = (T, -m * S), (self.c0_sq * m, T - (self.c0_sq + self.h_sq) * S)
+        x = np.zeros((len(P), 8), dtype=complex)
         with np.errstate(invalid="ignore", over="ignore"):
-            first = np.abs(one[0])**2 + np.abs(one[1])**2 >= np.abs(two[0])**2 + np.abs(two[1])**2
-            alpha, beta = (np.where(first, a, b)[:, None] for a, b in zip(one, two))
-            v = alpha * xi + beta * self.b
-            q = np.sum(xi * v, axis=1)[:, None]
-            x = np.concatenate([-self.rho * q, tt[:, None] * v, -self.kappa * q,
-                                math.sqrt(self.rho) * (m[:, None] * v - q * self.b)], axis=1)
+            if col == 0:
+                x[:, 0], x[:, 4] = self.p_theta, -self.p_rho
+            elif col == 1:
+                x[:, 5:] = xi
+            elif col < 4:
+                v = np.cross(xi, self.b)
+                x[:, 1:4], x[:, 5:] = (5 - 2 * col) * v, math.sqrt(self.rho) * v
+            else:
+                tt = P[:, 0] - 1j * gamma + xi @ self.u
+                m, S, T = xi @ self.b, np.sum(xi * xi, axis=1), tt * tt
+                n1 = (T, -m * S, S * (T - m * m))
+                n2 = (self.c0_sq * m, T - (self.c0_sq + self.h_sq) * S, m * (T - self.h_sq * S))
+                first = np.abs(n1[0])**2 + np.abs(n1[1])**2 >= np.abs(n2[0])**2 + np.abs(n2[1])**2
+                alpha, beta, q = (np.where(first, a, b)[:, None] for a, b in zip(n1, n2))
+                v = alpha * xi + beta * self.b
+                x = np.concatenate([-self.rho * q, tt[:, None] * v, -self.kappa * q,
+                                    math.sqrt(self.rho) * (m[:, None] * v - q * self.b)], axis=1)
             y = x @ self.sym_a_d
             return y.conj() / np.linalg.norm(y, axis=1, keepdims=True)
+
+    def complement(self, P: np.ndarray, gamma: np.ndarray, G: np.ndarray,
+                   mu: np.ndarray, exact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(W^H, ok): W orthonormal, spanning the left vectors of the stack G
+        = s G(P) at its 8 - dim roots with Im mu > 0 (the unstable linear
+        columns, then the quartic ones of largest Im), so E_minus = W^perp.
+        mu is from `roots` on the exact rows, else eigvals by increasing Im,
+        ok only if no linear root is unstable.  ok fails where a residual |G^H
+        w - conj(mu) w| exceeds 5e-14 |G|_F (about 200 rounding units) or,
+        for several vectors, their QR has min r_ii < 1e-6 max r_ii."""
+        lin = self.unstable_linear
+        top = 4 + np.argsort(-mu[:, 4:].imag, axis=1, kind="stable")[:, :8 - self.dim - len(lin)]
+        nu = np.concatenate([mu[:, lin], mu[np.arange(len(mu))[:, None], top]], axis=1)
+        wh = np.stack([self.left_vector(P, gamma, nu[:, j], col).conj() for j, col in
+                       enumerate([*lin, *[4] * top.shape[1]])], axis=1)
+        # |w^H G - mu w^H| = |G^H w - conj(mu) w|; a failed row keeps a stand-in
+        with np.errstate(invalid="ignore", over="ignore"):
+            residual = np.linalg.norm(wh @ G - nu[:, :, None] * wh, axis=2)
+        ok = ((exact | (len(lin) == 0))
+              & np.all(residual <= 5e-14 * np.linalg.norm(G, axis=(1, 2))[:, None], axis=1))
+        wh = np.where(ok[:, None, None], wh, 8.0 ** -0.5)
+        if wh.shape[1] > 1:
+            W, R = np.linalg.qr(wh.conj().transpose(0, 2, 1))
+            r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+            ok &= r.min(axis=1) >= 1e-6 * r.max(axis=1)
+            wh = W.conj().transpose(0, 2, 1)
+        return wh, ok
 
 
 def _quadratic_roots(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -481,10 +522,9 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
     Computed by an ordered complex Schur reduction with the Im mu < 0
     eigenvalues sorted first.  This is the per-point reference: scans take
     E_minus without it (a symmetrizer certificate or the signs of the
-    closed-form roots for a side of dimension 0 or 8, the orthogonal
-    complement of the closed-form left eigenvector at the unstable root for
-    dimension 7, a batched eigendecomposition plus QR otherwise) and come
-    back here only for the rows the batch cannot trust.  At the hemisphere
+    closed-form roots at dimension 0 or 8, else the orthogonal complement of
+    the closed-form left eigenvectors at the unstable roots) and come back
+    here only for the rows the batch cannot trust.  At the hemisphere
     boundary (gamma_L = 0, extended to gamma_L <= 1e-8 where the gap is
     numerically untrustable) the limit subspace is taken by continuation:
     the same (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
@@ -655,8 +695,7 @@ class ScanResult:
 
 
 class _ScanProblem:
-    """Internal bundle: the sides, whose traces stack in order, and the
-    operator.  G_of and a_d_inv are the direct sums over the sides."""
+    """Internal bundle: the sides, whose traces stack in order, and the operator."""
 
     def __init__(self, sides, operator: BoundaryOperator):
         if operator.n != 8 * len(sides):
@@ -665,13 +704,6 @@ class _ScanProblem:
         self.sides = sides
         self.operator = operator
         self.expected_dim = sum(side.dim for side in sides)
-
-    @property
-    def a_d_inv(self) -> np.ndarray:
-        return scipy.linalg.block_diag(*[side.a_d_inv for side in self.sides])
-
-    def G_of(self, zf: BoundaryFrequency) -> np.ndarray:
-        return scipy.linalg.block_diag(*[side.G(zf) for side in self.sides])
 
 
 def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
@@ -708,35 +740,21 @@ def _range_rows(operator: BoundaryOperator):
     return per_point
 
 
-@dataclass(frozen=True)
-class _Complement:
-    """One side's E_minus given by the rows W^H of an orthonormal basis W of
-    its orthogonal complement."""
-
-    rows: np.ndarray
-
-
-def _abs_det(V: np.ndarray, bases) -> np.ndarray:
-    """min(|det(V E)|, 1) for E the direct sum of the sides' bases, taken side
-    by side; V and the bases may carry a leading stack axis.  For a side given
-    as a `_Complement`, [E W] is unitary, so its columns V_i E_i of V E may
-    be traded for V_i with the rows W^H appended under them: the |det| of
-    that square matrix is |det(V E)|."""
-    cols, under = [], []
-    for i, E in enumerate(bases):
-        V_i = V[..., 8 * i:8 * (i + 1)]
-        if isinstance(E, _Complement):
-            under.append((sum(c.shape[-1] for c in cols), E.rows))
-            cols.append(V_i)
-        else:
-            cols.append(V_i @ E)
-    stack = np.broadcast_shapes(*(c.shape[:-2] for c in cols),
-                                *(R.shape[:-2] for _, R in under))
-    Z = np.concatenate([np.broadcast_to(c, stack + c.shape[-2:]) for c in cols], axis=-1)
-    for start, R in under:
-        rows = np.zeros(stack + (R.shape[-2], Z.shape[-1]), dtype=complex)
-        rows[..., start:start + 8] = R
-        Z = np.concatenate([Z, rows], axis=-2)
+def _abs_det(V: np.ndarray, rows) -> np.ndarray:
+    """min(|det(V E)|, 1) for E the direct sum of the sides' E_minus, each
+    given by the rows W^H of an orthonormal basis W of its complement; V and
+    the rows may carry a leading stack axis.  [E W] is unitary, so side i's
+    columns V_i E_i of V E may be traded for V_i with W^H under them, of the
+    same |det|; at dimension 0 (W = I) both drop out."""
+    keep = [i for i, R in enumerate(rows) if R.shape[-2] < 8]
+    p = start = V.shape[-2]
+    stack = np.broadcast_shapes(V.shape[:-2], *(R.shape[:-2] for R in rows))
+    Z = np.zeros(stack + (8 * len(keep),) * 2, dtype=complex)
+    for j, i in enumerate(keep):
+        n = rows[i].shape[-2]
+        Z[..., :p, 8 * j:8 * j + 8] = V[..., 8 * i:8 * i + 8]
+        Z[..., start:start + n, 8 * j:8 * j + 8] = rows[i]
+        start += n
     return np.minimum(np.abs(np.linalg.det(Z)), 1.0)
 
 
@@ -766,23 +784,18 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
     Per side, on the stacked G (shifted at continuation rows), with the
     roots mu of `_Side.roots` where they are trusted and of the 8x8
     `eigvals` elsewhere (every row of a side without `closed_form`, and of
-    a side of dimension 0 or 8 known only by its G):
-      * dimension 0 or 8: E_minus is 0 or C^8.  When the side's a_d_inv has
-        all its eigenvalues of the sign dim implies, the symmetrizer's energy
-        identity gives every eigenvalue of G that sign's Im mu with |Im mu| >=
-        gamma min |lambda(a_d_inv)| = gamma * damping (gamma = eps_cont at
-        continuation rows), so a row whose bound clears the gap test twice
-        over needs no eigenvalues; the other rows count the signs of mu.
-      * dimension 7: E_minus is the orthogonal complement of the left
-        eigenvector w of the single Im mu > 0 root, in closed form
-        (`_Side.left_vector`), so `_abs_det` takes w^H in place of a basis:
-        for the fast shock |D| = |det([V[:, :8]; w^H])|, an 8x8 determinant.
-      * any other, and dimension 7 on a side known only by its G: the QR of
-        the Im mu < 0 unit eigenvectors of a batched `eig`.
+    a side of dimension 0 or 8 known only by its G), `_abs_det` takes
+    E_minus as the rows W^H of an orthonormal basis of its complement:
+      * dimension 0 or 8: W = I or none.  A row whose symmetrizer bound
+        |Im mu| >= gamma * damping (module docstring; gamma = eps_cont at
+        continuation rows) clears the gap test twice over needs no
+        eigenvalues; the other rows count the signs of mu.
+      * dimension 1 to 7: `_Side.complement`, which fails every row of a
+        side with B = 0 and an unstable linear root: v = xi x b vanishes.
     A row goes to `_point_abs_D` when a count is wrong, min |Im mu| < 1e-8,
-    the left vector's residual |G^H w - conj(mu) w| exceeds 5e-14 |G|_F
-    (about 200 rounding units), min |r_ii| < 1e-6 max |r_ii|, or
-    `range_rows` does not vouch for it; so failures come from there.
+    `complement` does not certify it, `range_rows` does not vouch for it,
+    or its side is known only by G at dimension 1 to 7; so failures come
+    from there.
     """
     cont = P[:, 1] <= 1e-8  # as in stable_subspace
     gamma = np.where(cont, eps_cont, P[:, 1])  # the damping each row's G carries
@@ -793,38 +806,24 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
         # rows whose split needs eigenvalues; the factor 2 covers the rounding
         # of the bound and of the eigenvalues
         need = gamma * (side.damping if known else 0.0) < 2e-8
-        E = np.eye(8)[:, :side.dim]  # E_minus at dimension 0 or 8
-        if need.any():
+        W_h = np.eye(8)[side.dim:]  # the complement's rows at dimension 0 or 8
+        if 0 < side.dim < 8 and not known:
+            trusted[:] = False
+        elif need.any():
             G = side.G(P[need])
             shift = cont[need]
             G[shift] -= (1j * (eps_cont - P[need][shift, 1]))[:, None, None] * side.a_d_inv
-            if side.dim in (0, 8) or (known and side.dim == 7):
-                if known and side.closed_form:
-                    mu, ok = side.roots(P[need], gamma[need])
-                    if not ok.all():
-                        mu[~ok] = np.linalg.eigvals(G[~ok])
-                else:
-                    mu = np.linalg.eigvals(G)
-                if side.dim == 7:
-                    top = mu[np.arange(len(G)), np.argmax(mu.imag, axis=1)]
-                    wh = side.left_vector(P[need], gamma[need], top).conj()
-                    # |w^H G - mu w^H| = |G^H w - conj(mu) w|; a failed row
-                    # keeps a finite stand-in
-                    with np.errstate(invalid="ignore", over="ignore"):
-                        residual = np.linalg.norm((wh[:, None, :] @ G)[:, 0] - top[:, None] * wh,
-                                                  axis=1)
-                    ok = residual <= 5e-14 * np.linalg.norm(G, axis=(1, 2))
-                    E = _Complement(np.where(ok[:, None], wh, 8.0 ** -0.5)[:, None, :])
-                    trusted &= ok
-            else:
-                mu, X = np.linalg.eig(G)
-                stable = np.argsort(mu.imag >= 0.0, axis=1, kind="stable")[:, :side.dim]
-                E, R = np.linalg.qr(np.take_along_axis(X, stable[:, None, :], axis=2))
-                r = np.abs(np.diagonal(R, axis1=1, axis2=2))
-                trusted &= r.min(axis=1) >= 1e-6 * r.max(axis=1)
+            mu, exact = (side.roots(P[need], gamma[need]) if known and side.closed_form
+                         else (np.empty((len(G), 8), dtype=complex), np.zeros(len(G), dtype=bool)))
+            if not exact.all():
+                lam = np.linalg.eigvals(G[~exact])
+                mu[~exact] = np.take_along_axis(lam, np.argsort(lam.imag, axis=1), axis=1)
+            if 0 < side.dim < 8:  # damping 0: every row is needed
+                W_h, ok = side.complement(P, gamma, G, mu, exact)
+                trusted &= ok
             trusted[need] &= ((np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
                               & (np.abs(mu.imag).min(axis=1) >= 1e-8))
-        bases.append(E)
+        bases.append(W_h)
     V, ok = range_rows(P)
     trusted &= ok
     if V.shape[-2] == problem.expected_dim:

@@ -53,6 +53,8 @@ SLOW_INFLOW = ThermoState(rho=1.0, u=[0.2, -0.1, 0.1], theta=1.0,
                           B=[0.3, 0.1, 0.2])
 SUPERSONIC_INFLOW = ThermoState(rho=1.0, u=[0.2, -0.1, 3.0], theta=1.0,
                                 B=[0.3, 0.1, 0.2])
+OUTFLOW = ThermoState(rho=1.0, u=[0.2, -0.1, -0.1], theta=1.0,
+                      B=[0.3, 0.1, 0.2])
 
 
 def n_positive(state, gas, d):
@@ -262,7 +264,8 @@ def test_abs_D_continuous_along_paths(gas):
     def absD(tau):
         eta = np.sqrt(max(1.0 - tau * tau, 0.0))
         zf = BoundaryFrequency(tau, 0.0, [eta, 0.0])
-        E = stable_subspace(prob.G_of(zf), 0.0, a_d_inv=prob.a_d_inv)
+        E = stable_subspace(scipy.linalg.block_diag(*[side.G(zf) for side in prob.sides]), 0.0,
+                            a_d_inv=scipy.linalg.block_diag(*[s.a_d_inv for s in prob.sides]))
         return lopatinski_det(E, prob.operator, zf).abs_D
 
     taus = np.linspace(0.70, 0.95, 161)  # fine path through the kink
@@ -750,11 +753,18 @@ def test_batched_scan_matches_per_point_oracle(gas, monkeypatch):
     for M in (M0, callable_op):
         cases.append(([(st, 1.0)], _one_sided_problem(st, gas, 3, M, 1e-10)))
     # inflow slower than the slow and Alfven speeds, and supersonic inflow:
-    # dim E_minus 5 (eig and QR) and 8 (the definite-side certificate)
+    # dim E_minus 5 (three closed-form left vectors) and 8 (the definite-side
+    # certificate)
     for inflow in (SLOW_INFLOW, SUPERSONIC_INFLOW):
         M = np.random.default_rng(67).standard_normal((n_positive(inflow, gas, 3), 8))
         cases.append(([(inflow, 1.0)], _one_sided_problem(inflow, gas, 3, M, 1e-10)))
     assert [problem.expected_dim for _, problem in cases[-2:]] == [5, 8]
+    # outflow: dim E_minus 3, its unstable roots the entropy double, one
+    # Alfven root and two magnetoacoustic roots
+    M = np.random.default_rng(68).standard_normal((n_positive(OUTFLOW, gas, 3), 8))
+    cases.append(([(OUTFLOW, 1.0)], _one_sided_problem(OUTFLOW, gas, 3, M, 1e-10)))
+    (side,) = cases[-1][1].sides
+    assert side.dim == 3 and list(side.unstable_linear) == [0, 1, 2]
     for sides, problem in cases:
         fallbacks = _count_fallbacks(monkeypatch)
         res = _scan(problem, grid, 1e-6, polish_rounds=0)
@@ -849,7 +859,9 @@ def test_closed_form_shock_rows_span_range_of_operator(gas, B, zf):
     assert_allclose(V @ V.conj().T, np.eye(7), rtol=0, atol=1e-12)
     assert np.linalg.norm(M - M @ V.conj().T @ V) <= 1e-12 * np.linalg.norm(M)
     problem = _shock_problem(sh, 1e-10)
-    E = stable_subspace(problem.G_of(zf), zf.gamma_L, a_d_inv=problem.a_d_inv)
+    E = stable_subspace(scipy.linalg.block_diag(*[side.G(zf) for side in problem.sides]),
+                        zf.gamma_L,
+                        a_d_inv=scipy.linalg.block_diag(*[s.a_d_inv for s in problem.sides]))
     V_svd = _right_singular_rows(M, full_matrices=False)
     assert_allclose(abs(np.linalg.det(V @ E)), abs(np.linalg.det(V_svd @ E)),
                     rtol=0, atol=1e-14)
@@ -966,7 +978,7 @@ def test_scan_reports_fallback_rows_of_sweep_and_polish(gas, monkeypatch):
     grid = HemisphereGrid(n_phi=1, n_sphere=8, equator_refine=1)
     fast = shock_scan(sh, grid, polish_rounds=1)
     monkeypatch.setattr(lopatinski._Side, "left_vector",
-                        lambda self, P, gamma, mu: np.full((len(P), 8), 8.0 ** -0.5))
+                        lambda self, P, gamma, mu, col: np.full((len(P), 8), 8.0 ** -0.5))
     slow = shock_scan(sh, grid, polish_rounds=1)
     assert fast.n_fallback == 0
     assert slow.n_fallback == grid.n_points + 124 == 140
@@ -974,6 +986,56 @@ def test_scan_reports_fallback_rows_of_sweep_and_polish(gas, monkeypatch):
     assert_allclose([row[4] for row in slow.rows], [row[4] for row in fast.rows],
                     rtol=0, atol=1e-12)
     assert abs(slow.min_abs_D - fast.min_abs_D) <= 1e-12
+
+
+def test_slow_shock_builds_and_scans_as_the_oracle(gas, monkeypatch):
+    # the one slow shock of 35 probed (B, mach) cases that builds; its sides
+    # have dimensions 5 and 2, so both complements' rows share one 16x16
+    # determinant, each under its own side's columns
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, 0.0, 1.5])
+    sh = rankine_hugoniot(gas, up, family="slow", mach=1.1, d=3)
+    assert sh.lax_valid and sh.noncharacteristic
+    assert (n_positive(sh.left, gas, 3), 8 - n_positive(sh.right, gas, 3)) == (6, 3)
+    assert sh.residual <= 1e-10 and np.abs(sh.jump_residual()).max() <= 1e-10
+    problem = _shock_problem(sh, 1e-10)
+    assert [side.dim for side in problem.sides] == [5, 2]
+    grid = _mixed_grid(90, 86)
+    fallbacks = _count_fallbacks(monkeypatch)
+    res = _scan(problem, grid, 1e-6, polish_rounds=0)
+    monkeypatch.undo()
+    assert fallbacks == [] and res.n_fallback == 0
+    rows, failures = _oracle(gas, [(sh.right, 1.0), (sh.left, -1.0)], 3, problem.operator, grid)
+    assert _failure_list(res) == failures == []
+    assert_allclose([row[4] for row in res.rows], rows, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tamper", ["moved", "repeated"])
+def test_batched_scan_certifies_every_left_vector(gas, monkeypatch, tamper):
+    # the slow inflow has two unstable quartic roots: moving the top one by
+    # 1e-6 relative must fail its vector's residual test, copying it over the
+    # other makes the two vectors parallel and must fail the r_ii test; either
+    # way every row takes the per-point path, with the oracle's |D|
+    M = np.random.default_rng(87).standard_normal((n_positive(SLOW_INFLOW, gas, 3), 8))
+    grid = HemisphereGrid(1, 30, 1)
+    assert uniform_scan(SLOW_INFLOW, gas, 3, M, grid, polish_rounds=0).n_fallback == 0
+
+    def roots(self, P, gamma, _f=_Side.roots):
+        mu, ok = _f(self, P, gamma)
+        i = np.arange(len(P))
+        order = 4 + np.argsort(-mu[:, 4:].imag, axis=1)
+        assert np.all(mu[i, order[:, 1]].imag > 0.0)
+        if tamper == "moved":
+            mu[i, order[:, 0]] *= 1.0 + 1e-6
+        else:
+            mu[i, order[:, 1]] = mu[i, order[:, 0]]
+        return mu, ok
+    monkeypatch.setattr(_Side, "roots", roots)
+    res = uniform_scan(SLOW_INFLOW, gas, 3, M, grid, polish_rounds=0)
+    monkeypatch.undo()
+    assert res.n_fallback == grid.n_points == 60
+    rows, failures = _oracle(gas, [(SLOW_INFLOW, 1.0)], 3, BoundaryOperator.from_matrix(M), grid)
+    assert _failure_list(res) == failures == []
+    assert_allclose([row[4] for row in res.rows], rows, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------------
@@ -997,7 +1059,9 @@ def _closed_form_cases(gas):
     gamma = eps_cont, as the scan's continuation takes them, as (P, gamma),
     and the sides of the Mach-2 shock (its downstream side of dimension 7
     and its reflected, s = -1, upstream side) as |B| -> 0, of an oblique
-    shock, and a subsonic inflow of dimension 7."""
+    shock, a subsonic inflow of dimension 7, the slow inflow (dimension 5),
+    an outflow of dimension 3 and outflows of dimension 1 at |B| = 0.01 and
+    1e-4, whose unstable entropy and Alfven roots crowd the slow pair."""
     P = HemisphereGrid(2, 40, 2)._rows()
     equator = P[:, 1] == 0.0
     P = np.concatenate([P[~equator], P[equator]])
@@ -1010,8 +1074,11 @@ def _closed_form_cases(gas):
     sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0.1, 0.05], theta=1.0,
                                            B=[0.2, -0.1, 0.3]), family="fast", mach=1.7, d=3)
     sides += _shock_problem(sh, 1e-10).sides
-    sides.append(_Side(SUBSONIC_STATE, gas, 3, 1e-10))
-    assert [(side.dim, side.sign) for side in sides] == [(7, 1.0), (0, -1.0)] * 5 + [(7, 1.0)]
+    sides += [_Side(st, gas, 3, 1e-10) for st in (
+        SUBSONIC_STATE, SLOW_INFLOW, OUTFLOW,
+        *(ThermoState(rho=1.0, u=OUTFLOW.u, theta=1.0, B=[b, 0, 0]) for b in (0.01, 1e-4)))]
+    assert [(side.dim, side.sign) for side in sides] == (
+        [(7, 1.0), (0, -1.0)] * 5 + [(7, 1.0), (5, 1.0), (3, 1.0), (1, 1.0), (1, 1.0)])
     return P, gamma, sides
 
 
@@ -1021,7 +1088,9 @@ def test_closed_form_roots_match_batched_eigvals(gas):
         assert side.closed_form
         mu, ok = side.roots(P, gamma)
         ref = np.linalg.eigvals(side.G(np.column_stack([P[:, 0], gamma, P[:, 2:]])))
-        assert np.count_nonzero(ok) >= 0.99 * len(P)
+        # on the |B| = 1e-4 outflow the last Newton step does not vouch for
+        # the slow pair crowding the entropy double on 3 of the 240 rows
+        assert np.count_nonzero(ok) >= (0.98 if side is sides[-1] else 0.99) * len(P)
         assert _matched_error(mu[ok], ref[ok]).max() <= 1e-12
         counts = np.count_nonzero(mu[ok].imag < 0.0, axis=1)
         assert np.array_equal(counts, np.count_nonzero(ref[ok].imag < 0.0, axis=1))
@@ -1029,25 +1098,32 @@ def test_closed_form_roots_match_batched_eigvals(gas):
 
 
 def test_closed_form_left_vector_matches_eig_left(gas):
-    # on every dimension-7 side and row of the roots test, the closed-form
-    # left eigenvector at the unstable root mu+ passes the scan's residual
-    # test and is, up to a phase, the left eigenvector LAPACK gives there
+    # on every side of dimension 1 to 7 and every row of the roots test whose
+    # roots are trusted, the closed-form left eigenvector at each root with
+    # Im mu > 0 passes the scan's residual test, and together they span the
+    # orthogonal complement of the Schur reference's E_minus (not compared
+    # one by one: at small |B| the entropy, Alfven and slow roots lie within
+    # 3e-12 of one another)
     P, gamma, sides = _closed_form_cases(gas)
     for side in sides:
-        if side.dim != 7:
+        if side.dim in (0, 8):
             continue
         G = side.G(np.column_stack([P[:, 0], gamma, P[:, 2:]]))
         mu, ok = side.roots(P, gamma)
-        mu[~ok] = np.linalg.eigvals(G[~ok])
-        top = mu[np.arange(len(P)), np.argmax(mu.imag, axis=1)]
-        w = side.left_vector(P, gamma, top)
-        residual = np.linalg.norm(
-            (G.conj().transpose(0, 2, 1) @ w[..., None])[..., 0] - top.conj()[:, None] * w, axis=1)
-        assert np.all(residual <= 5e-14 * np.linalg.norm(G, axis=(1, 2)))
-        for G_i, mu_i, w_i in zip(G, top, w):
-            lam, left = scipy.linalg.eig(G_i, left=True, right=False)
-            j = np.argmin(np.abs(lam - mu_i))
-            assert abs(np.vdot(left[:, j], w_i)) / np.linalg.norm(left[:, j]) >= 1.0 - 1e-12
+        unstable = mu.imag > 0.0
+        assert np.all(np.count_nonzero(unstable[ok], axis=1) == 8 - side.dim)
+        W = np.zeros((len(P), 8, 8), dtype=complex)
+        for col in range(8):
+            w = side.left_vector(P, gamma, mu[:, col], min(col, 4))
+            rows = ok & unstable[:, col]
+            residual = np.linalg.norm((G.conj().transpose(0, 2, 1) @ w[..., None])[..., 0]
+                                      - mu[:, col].conj()[:, None] * w, axis=1)
+            assert np.all(residual[rows] <= 5e-14 * np.linalg.norm(G[rows], axis=(1, 2)))
+            W[rows, :, col] = w[rows]
+        for G_i, gamma_i, W_i, unstable_i in zip(G[ok], gamma[ok], W[ok], unstable[ok]):
+            Q = np.linalg.qr(W_i[:, unstable_i])[0]
+            E = stable_subspace(G_i, gamma_i)
+            assert np.linalg.norm(Q.conj().T @ E, 2) <= 1e-12
 
 
 def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
