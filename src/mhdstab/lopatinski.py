@@ -310,13 +310,14 @@ class _Side:
         self.sign = sign
         self.u_t, self.u_d = self.u[self.axes[0]], float(self.u[d - 1])
         self.b_t, self.b_d = self.b[self.axes[0]], float(self.b[d - 1])
-        # the columns of `roots` linear in mu with Im mu > 0 at every gamma > 0
-        self.unstable_linear = np.flatnonzero(
-            sign * (self.u_d + self.b_d * np.array([0, 0, -1, 1])) < 0.0)
         ev = eval_eos(eos, state.rho, state.theta)
         self.p_rho, self.p_theta = ev.P_rho, ev.P_theta
         self.c0_sq = c0_sq_from_eval(ev, state.rho, state.theta)
         self.h_sq = float(state.B @ state.B) / state.rho
+        # `roots` columns linear in mu (6 at B = 0), those unstable at gamma > 0
+        self.n_linear = 4 if self.h_sq else 6
+        self.unstable_linear = np.flatnonzero(
+            sign * (self.u_d + self.b_d * np.array([0, 0, -1, 1, 0, 0])[:self.n_linear]) < 0.0)
         self.rho, self.kappa = state.rho, ev.P_theta * state.theta / (state.rho * ev.e_theta)
         self.sym_a_d = symmetrizer(state, eos) @ A_d
         # `roots` solves the magnetoacoustic quartic in mu (for B = 0 the
@@ -408,13 +409,16 @@ class _Side:
         tau_tilde I + A_tilde(xi), xi = (eta, -s mu).  Entropy (col 0, 1;
         tau_tilde = 0): x = (P_theta, 0, 0, 0, -P_rho, 0, 0, 0) or (0, .., 0,
         xi).  Alfven (col 2, 3; tau_tilde = +-m exactly): (0, +-v, 0,
-        sqrt(rho) v), v = xi x b.  Magnetoacoustic (col >= 4): (-rho q,
-        tau_tilde u', -kappa q, (B.xi) u' - q B), kappa = P_theta theta / (rho
-        e_theta), u' = alpha xi + beta b for (alpha, beta) the larger null
-        vector (T, -m S) or (c0^2 m, T - k S) of [[T - k S, -c0^2 m], [m S,
-        T]] (m = xi.b, k = c0^2 + h^2), whose determinant is the quartic, and
-        q = xi.u' = S (T - F) or m (T - h^2 S), not a sum that cancels.  A
-        degenerate row may come out not finite; the caller tests residuals."""
+        sqrt(rho) v), v = xi x b.  For B = 0 (col 2 to 5; tau_tilde = 0):
+        (0, v, 0, 0) or (0, 0, 0, v), v = xi x e_a for the two axes a but
+        that of the largest |xi_a|, so xi.v = 0.  Magnetoacoustic (col >=
+        n_linear): (-rho q, tau_tilde u', -kappa q, (B.xi) u' - q B), kappa
+        = P_theta theta / (rho e_theta), u' = alpha xi + beta b for (alpha,
+        beta) the larger null vector (T, -m S) or (c0^2 m, T - k S) of [[T -
+        k S, -c0^2 m], [m S, T]] (m = xi.b, k = c0^2 + h^2), whose
+        determinant is the quartic, and q = xi.u' = S (T - F) or m (T - h^2
+        S), not a sum that cancels.  A degenerate row may come out not
+        finite; the caller tests residuals."""
         xi = np.empty((len(P), 3), dtype=complex)
         xi[:, self.axes[0]] = P[:, 2:4]
         xi[:, self.axes[1]] = -self.sign * mu
@@ -424,9 +428,12 @@ class _Side:
                 x[:, 0], x[:, 4] = self.p_theta, -self.p_rho
             elif col == 1:
                 x[:, 5:] = xi
-            elif col < 4:
+            elif col < 4 and self.h_sq:
                 v = np.cross(xi, self.b)
                 x[:, 1:4], x[:, 5:] = (5 - 2 * col) * v, math.sqrt(self.rho) * v
+            elif col < self.n_linear:
+                a = (np.argmax(np.abs(xi), axis=1) + 1 + col % 2) % 3
+                x[:, 1 + 4 * (col // 4) + np.arange(3)] = np.cross(xi, np.eye(3)[a])
             else:
                 tt = P[:, 0] - 1j * gamma + xi @ self.u
                 m, S, T = xi @ self.b, np.sum(xi * xi, axis=1), tt * tt
@@ -449,11 +456,11 @@ class _Side:
         ok only if no linear root is unstable.  ok fails where a residual |G^H
         w - conj(mu) w| exceeds 5e-14 |G|_F (about 200 rounding units) or,
         for several vectors, their QR has min r_ii < 1e-6 max r_ii."""
-        lin = self.unstable_linear
-        top = 4 + np.argsort(-mu[:, 4:].imag, axis=1, kind="stable")[:, :8 - self.dim - len(lin)]
+        lin, n = self.unstable_linear, self.n_linear
+        top = n + np.argsort(-mu[:, n:].imag, axis=1, kind="stable")[:, :8 - self.dim - len(lin)]
         nu = np.concatenate([mu[:, lin], mu[np.arange(len(mu))[:, None], top]], axis=1)
         wh = np.stack([self.left_vector(P, gamma, nu[:, j], col).conj() for j, col in
-                       enumerate([*lin, *[4] * top.shape[1]])], axis=1)
+                       enumerate([*lin, *[n] * top.shape[1]])], axis=1)
         # |w^H G - mu w^H| = |G^H w - conj(mu) w|; a failed row keeps a stand-in
         with np.errstate(invalid="ignore", over="ignore"):
             residual = np.linalg.norm(wh @ G - nu[:, :, None] * wh, axis=2)
@@ -521,14 +528,12 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
 
     Computed by an ordered complex Schur reduction with the Im mu < 0
     eigenvalues sorted first.  This is the per-point reference: scans take
-    E_minus without it (a symmetrizer certificate or the signs of the
-    closed-form roots at dimension 0 or 8, else the orthogonal complement of
-    the closed-form left eigenvectors at the unstable roots) and come back
-    here only for the rows the batch cannot trust.  At the hemisphere
-    boundary (gamma_L = 0, extended to gamma_L <= 1e-8 where the gap is
-    numerically untrustable) the limit subspace is taken by continuation:
-    the same (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
-    -i (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
+    E_minus in closed form (see `_evaluate`) and come back here only for
+    the rows the batch cannot trust.  At the hemisphere boundary (gamma_L =
+    0, extended to gamma_L <= 1e-8 where the gap is numerically
+    untrustable) the limit subspace is taken by continuation: the same
+    (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by -i
+    (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
     Raises SpectralSplitFailure when the spectral gap min |Im mu| is below
     the fixed threshold 1e-12 while gamma_L > 1e-8.
     """
@@ -783,15 +788,12 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
 
     Per side, on the stacked G (shifted at continuation rows), with the
     roots mu of `_Side.roots` where they are trusted and of the 8x8
-    `eigvals` elsewhere (every row of a side without `closed_form`, and of
-    a side of dimension 0 or 8 known only by its G), `_abs_det` takes
-    E_minus as the rows W^H of an orthonormal basis of its complement:
-      * dimension 0 or 8: W = I or none.  A row whose symmetrizer bound
-        |Im mu| >= gamma * damping (module docstring; gamma = eps_cont at
-        continuation rows) clears the gap test twice over needs no
-        eigenvalues; the other rows count the signs of mu.
-      * dimension 1 to 7: `_Side.complement`, which fails every row of a
-        side with B = 0 and an unstable linear root: v = xi x b vanishes.
+    `eigvals` elsewhere, `_abs_det` takes E_minus as the rows W^H of an
+    orthonormal basis W of its complement: `_Side.complement` at dimension
+    1 to 7; W = I or none at dimension 0 or 8, where a row whose
+    symmetrizer bound |Im mu| >= gamma * damping (module docstring; gamma =
+    eps_cont at continuation rows) clears the gap test twice over needs no
+    eigenvalues and the other rows count the signs of mu.
     A row goes to `_point_abs_D` when a count is wrong, min |Im mu| < 1e-8,
     `complement` does not certify it, `range_rows` does not vouch for it,
     or its side is known only by G at dimension 1 to 7; so failures come

@@ -264,9 +264,7 @@ def test_abs_D_continuous_along_paths(gas):
     def absD(tau):
         eta = np.sqrt(max(1.0 - tau * tau, 0.0))
         zf = BoundaryFrequency(tau, 0.0, [eta, 0.0])
-        E = stable_subspace(scipy.linalg.block_diag(*[side.G(zf) for side in prob.sides]), 0.0,
-                            a_d_inv=scipy.linalg.block_diag(*[s.a_d_inv for s in prob.sides]))
-        return lopatinski_det(E, prob.operator, zf).abs_D
+        return lopatinski_det(_direct_sum_E(prob, zf), prob.operator, zf).abs_D
 
     taus = np.linspace(0.70, 0.95, 161)  # fine path through the kink
     h = taus[1] - taus[0]
@@ -556,6 +554,13 @@ def _mixed_grid(n, seed):
     return ExplicitGrid(points)
 
 
+def _direct_sum_E(problem, zf):
+    """E_minus of the direct sum of a problem's sides, on the Schur path."""
+    return stable_subspace(scipy.linalg.block_diag(*[side.G(zf) for side in problem.sides]),
+                           zf.gamma_L,
+                           a_d_inv=scipy.linalg.block_diag(*[s.a_d_inv for s in problem.sides]))
+
+
 def _reference_abs_D(gas, sides, d, operator, zf):
     """|D| by lopatinski_det on the block-diagonal assemble_G path; sides
     are (state, sign) pairs in trace order."""
@@ -760,11 +765,13 @@ def test_batched_scan_matches_per_point_oracle(gas, monkeypatch):
         cases.append(([(inflow, 1.0)], _one_sided_problem(inflow, gas, 3, M, 1e-10)))
     assert [problem.expected_dim for _, problem in cases[-2:]] == [5, 8]
     # outflow: dim E_minus 3, its unstable roots the entropy double, one
-    # Alfven root and two magnetoacoustic roots
-    M = np.random.default_rng(68).standard_normal((n_positive(OUTFLOW, gas, 3), 8))
-    cases.append(([(OUTFLOW, 1.0)], _one_sided_problem(OUTFLOW, gas, 3, M, 1e-10)))
-    (side,) = cases[-1][1].sides
-    assert side.dim == 3 and list(side.unstable_linear) == [0, 1, 2]
+    # Alfven root and two magnetoacoustic roots; at B = 0, dim E_minus 1, its
+    # unstable roots the sixfold tau_tilde = 0 and one acoustic root
+    for outflow in (OUTFLOW, ThermoState(rho=1.0, u=[0.2, -0.1, -0.5], theta=1.0, B=[0, 0, 0])):
+        M = np.random.default_rng(68).standard_normal((n_positive(outflow, gas, 3), 8))
+        cases.append(([(outflow, 1.0)], _one_sided_problem(outflow, gas, 3, M, 1e-10)))
+    assert [(side.dim, list(side.unstable_linear)) for _, problem in cases[-2:]
+            for side in problem.sides] == [(3, [0, 1, 2]), (1, [0, 1, 2, 3, 4, 5])]
     for sides, problem in cases:
         fallbacks = _count_fallbacks(monkeypatch)
         res = _scan(problem, grid, 1e-6, polish_rounds=0)
@@ -859,17 +866,16 @@ def test_closed_form_shock_rows_span_range_of_operator(gas, B, zf):
     assert_allclose(V @ V.conj().T, np.eye(7), rtol=0, atol=1e-12)
     assert np.linalg.norm(M - M @ V.conj().T @ V) <= 1e-12 * np.linalg.norm(M)
     problem = _shock_problem(sh, 1e-10)
-    E = stable_subspace(scipy.linalg.block_diag(*[side.G(zf) for side in problem.sides]),
-                        zf.gamma_L,
-                        a_d_inv=scipy.linalg.block_diag(*[s.a_d_inv for s in problem.sides]))
+    E = _direct_sum_E(problem, zf)
     V_svd = _right_singular_rows(M, full_matrices=False)
     assert_allclose(abs(np.linalg.det(V @ E)), abs(np.linalg.det(V_svd @ E)),
                     rtol=0, atol=1e-14)
 
 
 def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
-    # a 2x2 Jordan block inside E_minus: eig returns two nearly parallel
-    # eigenvectors, so the QR test sends every row to the Schur path
+    # a 2x2 Jordan block inside E_minus, on a side known only by its G at
+    # dimension 4: the batch has no closed-form left vectors for it, so
+    # every row takes the Schur path
     rng = np.random.default_rng(73)
     S = rng.standard_normal((8, 8))
     J = np.diag([-1j, -1j, -2j, -3j, 1j, 2j, 3j, 4j])
@@ -1060,8 +1066,9 @@ def _closed_form_cases(gas):
     and the sides of the Mach-2 shock (its downstream side of dimension 7
     and its reflected, s = -1, upstream side) as |B| -> 0, of an oblique
     shock, a subsonic inflow of dimension 7, the slow inflow (dimension 5),
-    an outflow of dimension 3 and outflows of dimension 1 at |B| = 0.01 and
-    1e-4, whose unstable entropy and Alfven roots crowd the slow pair."""
+    an outflow of dimension 3 and outflows of dimension 1 at B = 0, whose
+    unstable root tau_tilde = 0 is sixfold, and at |B| = 0.01 and 1e-4,
+    whose unstable entropy and Alfven roots crowd the slow pair."""
     P = HemisphereGrid(2, 40, 2)._rows()
     equator = P[:, 1] == 0.0
     P = np.concatenate([P[~equator], P[equator]])
@@ -1076,9 +1083,9 @@ def _closed_form_cases(gas):
     sides += _shock_problem(sh, 1e-10).sides
     sides += [_Side(st, gas, 3, 1e-10) for st in (
         SUBSONIC_STATE, SLOW_INFLOW, OUTFLOW,
-        *(ThermoState(rho=1.0, u=OUTFLOW.u, theta=1.0, B=[b, 0, 0]) for b in (0.01, 1e-4)))]
+        *(ThermoState(rho=1.0, u=OUTFLOW.u, theta=1.0, B=[b, 0, 0]) for b in (0.0, 0.01, 1e-4)))]
     assert [(side.dim, side.sign) for side in sides] == (
-        [(7, 1.0), (0, -1.0)] * 5 + [(7, 1.0), (5, 1.0), (3, 1.0), (1, 1.0), (1, 1.0)])
+        [(7, 1.0), (0, -1.0)] * 5 + [(7, 1.0), (5, 1.0), (3, 1.0)] + [(1, 1.0)] * 3)
     return P, gamma, sides
 
 
@@ -1103,8 +1110,14 @@ def test_closed_form_left_vector_matches_eig_left(gas):
     # Im mu > 0 passes the scan's residual test, and together they span the
     # orthogonal complement of the Schur reference's E_minus (not compared
     # one by one: at small |B| the entropy, Alfven and slow roots lie within
-    # 3e-12 of one another)
+    # 3e-12 of one another).  On a side without an unstable linear root the
+    # scan also takes the rows with untrusted roots, at the top roots of the
+    # 8x8 eigvals, all magnetoacoustic: their vectors pass the residual test
+    # (a dimension-7 inflow at tangential |B| = 1e-5 has such rows)
     P, gamma, sides = _closed_form_cases(gas)
+    sides.append(_Side(ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[1e-5, 0, 0]),
+                       gas, 3, 1e-10))
+    n_untrusted = 0
     for side in sides:
         if side.dim in (0, 8):
             continue
@@ -1112,10 +1125,18 @@ def test_closed_form_left_vector_matches_eig_left(gas):
         mu, ok = side.roots(P, gamma)
         unstable = mu.imag > 0.0
         assert np.all(np.count_nonzero(unstable[ok], axis=1) == 8 - side.dim)
+        checked = ok.copy()
+        if len(side.unstable_linear) == 0:
+            checked[:] = True
+            lam = np.linalg.eigvals(G[~ok])
+            mu[~ok] = np.take_along_axis(lam, np.argsort(lam.imag, axis=1), axis=1)
+            unstable[~ok] = np.arange(8) >= side.dim
+            n_untrusted += np.count_nonzero(~ok)
         W = np.zeros((len(P), 8, 8), dtype=complex)
         for col in range(8):
-            w = side.left_vector(P, gamma, mu[:, col], min(col, 4))
-            rows = ok & unstable[:, col]
+            w = np.where(ok[:, None], side.left_vector(P, gamma, mu[:, col], col),
+                         side.left_vector(P, gamma, mu[:, col], side.n_linear))
+            rows = checked & unstable[:, col]
             residual = np.linalg.norm((G.conj().transpose(0, 2, 1) @ w[..., None])[..., 0]
                                       - mu[:, col].conj()[:, None] * w, axis=1)
             assert np.all(residual[rows] <= 5e-14 * np.linalg.norm(G[rows], axis=(1, 2)))
@@ -1124,6 +1145,7 @@ def test_closed_form_left_vector_matches_eig_left(gas):
             Q = np.linalg.qr(W_i[:, unstable_i])[0]
             E = stable_subspace(G_i, gamma_i)
             assert np.linalg.norm(Q.conj().T @ E, 2) <= 1e-12
+    assert n_untrusted > 0
 
 
 def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
