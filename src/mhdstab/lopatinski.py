@@ -18,9 +18,9 @@ Conventions, fixed once here and used consistently:
   * |D| is computed from orthonormal bases of E_minus and ker M, making it
     basis independent and confined to [0, 1].
   * Scans evaluate stacks of rows (tau, gamma_L, eta1, eta2) at once, with
-    orthonormal rows V spanning range(M^H) (one SVD per scan for a constant
-    operator, a closed form for the shock operator) and E_minus per side.
-    The eigenvalues mu of a side's s G come in closed form: they are the
+    a basis K of ker M (`kernel_basis` once per scan for a constant
+    operator, Majda's closed form for the shock operator) and E_minus per
+    side.  The eigenvalues mu of a side's s G come in closed form: they are the
     roots of det((tau - i gamma) I + A(eta, -s mu)), the factored MHD
     dispersion polynomial of `charstruct._char_poly_factors` at a complex
     xi, that is an entropy double and an Alfven pair linear in mu and a
@@ -40,9 +40,11 @@ Conventions, fixed once here and used consistently:
       - dimension 1 to 7: E_minus is the orthogonal complement of the left
         eigenvectors at the 8 - dim roots with Im mu > 0, each in closed form
         through S: w = conj(S A_d x)/|S A_d x| for x a right null vector of
-        (tau - i gamma) I + A(eta, -s mu), by family (`_Side.left_vector`);
-        |D| = |det(V E)| = |det([V; W^H])|, W an orthonormal basis of the w,
-        because [E W] is unitary: for a fast shock one 8x8 determinant.
+        (tau - i gamma) I + A(eta, -s mu), by family (`_Side.left_vector`).
+    With W the orthonormal complements of the sides side by side, [E W] is
+    unitary, so |D| = |det(W^H K)| / sqrt(det(K^H K)), an (8 sides -
+    p)-square determinant: for a fast shock, or a constant operator on a
+    dimension-7 side, a single product w^H k (`_abs_det`).
     The per-point path (`stable_subspace` per side, then `lopatinski_det`)
     is the reference, and the fallback for every row the batch cannot trust.
 
@@ -563,15 +565,16 @@ class BoundaryOperator:
 
     rank(M) = p is required wherever the operator is evaluated; kernel_dim
     = n - p.  Wrap a fixed matrix with `from_matrix`, or pass a callable
-    zf -> matrix to the constructor.
+    zf -> matrix to the constructor.  Scans take ker M by `_scan_kernel`.
     """
 
     def __init__(self, evaluator, n: int, p: int):
         self._evaluator = evaluator
         self.n = int(n)
         self.p = int(p)
-        # for scans, see `_range_rows`
-        self._closed_form = None
+        # for scans, see `_scan_kernel`
+        self._constant = False
+        self._kernel = None
 
     @property
     def kernel_dim(self) -> int:
@@ -581,8 +584,7 @@ class BoundaryOperator:
     def from_matrix(cls, M) -> "BoundaryOperator":
         M = np.atleast_2d(np.asarray(M, dtype=complex))
         op = cls(lambda zf: M, n=M.shape[1], p=M.shape[0])
-        V, ok = _svd_rows(M[None], np.ones(1, dtype=bool))
-        op._closed_form = lambda P: (V, ok)
+        op._constant = True
         return op
 
     def matrix(self, zf: BoundaryFrequency | None = None) -> np.ndarray:
@@ -593,19 +595,13 @@ class BoundaryOperator:
         return M
 
     def kernel_basis(self, zf: BoundaryFrequency | None = None) -> np.ndarray:
-        """Orthonormal basis of ker M; raises RankDeficiency if rank < p."""
-        vh = _right_singular_rows(self.matrix(zf), full_matrices=True)
-        return vh[self.p:, :].conj().T
-
-
-def _right_singular_rows(M: np.ndarray, full_matrices: bool) -> np.ndarray:
-    """V^H of the SVD M = U S V^H: its first p rows span range(M^H), the rest
-    (full_matrices only) span ker M.  Raises RankDeficiency if rank M < p."""
-    _, s, vh = np.linalg.svd(M, full_matrices=full_matrices)
-    if s.size and s[-1] <= 1e-10 * max(s[0], 1e-300):
-        raise RankDeficiency(
-            f"boundary operator rank-deficient: singular values {s}")
-    return vh
+        """Orthonormal basis of ker M, the last n - p right singular vectors;
+        raises RankDeficiency if rank < p."""
+        _, s, vh = np.linalg.svd(self.matrix(zf))
+        if s.size and s[-1] <= 1e-10 * max(s[0], 1e-300):
+            raise RankDeficiency(
+                f"boundary operator rank-deficient: singular values {s}")
+        return vh[self.p:].conj().T
 
 
 @dataclass(frozen=True)
@@ -625,8 +621,8 @@ def lopatinski_det(E_minus: np.ndarray, M: BoundaryOperator,
     square matrix [E_minus | ker M]; the Gram route sqrt(prod(1 - s_i^2))
     over the singular values of E_minus^H K is an independent check
     reported in the diagnostics.  |D| = 0 iff the subspaces intersect,
-    |D| = 1 iff they are orthogonal complements.  Scans use |det(V E_minus)|
-    with V an orthonormal basis of range(M^H), equal for orthonormal bases.
+    |D| = 1 iff they are orthogonal complements.  Scans take it from any
+    basis K of ker M as |det(W^H K)| / sqrt(det(K^H K)) (`_abs_det`).
     """
     E = np.asarray(E_minus, dtype=complex)
     K = M.kernel_basis(zf)
@@ -675,11 +671,10 @@ class ScanResult:
     n_fallback: int  # sweep and polish rows evaluated on the per-point path
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("tau,gamma_L,eta1,eta2,abs_D,dim_Eminus\n")
-            for tau, gamma, eta1, eta2, abs_D, dim in self.rows:
-                fh.write(f"{tau:.17g},{gamma:.17g},{eta1:.17g},{eta2:.17g},"
-                         f"{abs_D:.17g},{dim:d}\n")
+        from .cli import write_csv  # the CLI's writer; cli imports this module
+
+        write_csv(path, ["tau", "gamma_L", "eta1", "eta2", "abs_D", "dim_Eminus"],
+                  self.rows)
 
     def summary(self) -> dict:
         return {
@@ -719,48 +714,48 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
 _CHUNK = 256  # rows per batched evaluation of the sweep; bounds the stacked arrays
 
 
-def _svd_rows(M: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V^H of each thin SVD in a stack; ok narrowed by `_right_singular_rows`' test."""
-    _, s, vh = np.linalg.svd(M, full_matrices=False)
-    if s.shape[-1]:
-        ok = ok & (s[:, -1] > 1e-10 * np.maximum(s[:, 0], 1e-300))
-    return vh, ok
+def _scan_kernel(operator: BoundaryOperator):
+    """Once per scan: P -> (K, scale, ok), K a basis of ker M at each row of P
+    (a stack of one for a constant M), scale = sqrt(det(K^H K)), ok where M
+    evaluated at full rank: the shock operator's closed form, else
+    `kernel_basis` (scale 1), once for a constant M."""
+    if operator._kernel is not None:
+        return operator._kernel
+
+    def basis(row: np.ndarray) -> tuple[np.ndarray, bool]:
+        try:
+            return operator.kernel_basis(_frequency(row)), True
+        except MhdStabError:
+            return np.zeros((operator.n, operator.kernel_dim)), False
+    if operator._constant:
+        K, ok = basis(np.zeros(4))  # M is the same at every point
+        return lambda P: (K[None], 1.0, np.full(len(P), ok))
+
+    def kernel(P: np.ndarray):
+        K, ok = zip(*map(basis, P))
+        return np.array(K), 1.0, np.array(ok)
+    return kernel
 
 
-def _range_rows(operator: BoundaryOperator):
-    """Once per scan: P -> (V, ok), V orthonormal rows spanning range(M^H) at each
-    row of P (a stack of one for a constant M), ok where M evaluated at full rank."""
-    if operator._closed_form is not None:
-        return operator._closed_form
-
-    def per_point(P: np.ndarray):
-        M = np.zeros((len(P), operator.p, operator.n), dtype=complex)
-        ok = np.ones(len(P), dtype=bool)
-        for i, row in enumerate(P):
-            try:
-                M[i] = operator.matrix(_frequency(row))
-            except MhdStabError:
-                ok[i] = False
-        return _svd_rows(M, ok)
-    return per_point
-
-
-def _abs_det(V: np.ndarray, rows) -> np.ndarray:
-    """min(|det(V E)|, 1) for E the direct sum of the sides' E_minus, each
-    given by the rows W^H of an orthonormal basis W of its complement; V and
-    the rows may carry a leading stack axis.  [E W] is unitary, so side i's
-    columns V_i E_i of V E may be traded for V_i with W^H under them, of the
-    same |det|; at dimension 0 (W = I) both drop out."""
-    keep = [i for i, R in enumerate(rows) if R.shape[-2] < 8]
-    p = start = V.shape[-2]
-    stack = np.broadcast_shapes(V.shape[:-2], *(R.shape[:-2] for R in rows))
-    Z = np.zeros(stack + (8 * len(keep),) * 2, dtype=complex)
-    for j, i in enumerate(keep):
-        n = rows[i].shape[-2]
-        Z[..., :p, 8 * j:8 * j + 8] = V[..., 8 * i:8 * i + 8]
-        Z[..., start:start + n, 8 * j:8 * j + 8] = rows[i]
-        start += n
-    return np.minimum(np.abs(np.linalg.det(Z)), 1.0)
+def _abs_det(rows, K: np.ndarray, scale) -> np.ndarray:
+    """min(|det(W^H K)| / scale, 1): W^H the sides' rows W_i^H side by side,
+    W_i an orthonormal basis of the complement of side i's E_minus, K a
+    basis of ker M, scale = sqrt(det(K^H K)); all may carry a stack axis.
+    As [E W] is unitary this is the |D| of `lopatinski_det`.  K may stop 8
+    rows short of the last side, whose rows are then [I_8 0] (Majda's shock
+    basis); at dimension 0 (W = I) that side drops out with the first 8
+    columns, so a fast shock, like every 1x1 case, takes no det."""
+    if K.shape[-2] < 8 * len(rows):
+        if rows[-1].shape[-2] == 8:
+            rows, K = rows[:-1], K[..., 8:]
+        else:
+            free = np.eye(8, K.shape[-1])
+            K = np.concatenate([K, np.broadcast_to(free, K.shape[:-2] + free.shape)], axis=-2)
+    Z = [R @ K[..., 8 * i:8 * i + 8, :] for i, R in enumerate(rows)]
+    stack = np.broadcast_shapes(*(z.shape[:-2] for z in Z))
+    Z = np.concatenate([np.broadcast_to(z, stack + z.shape[-2:]) for z in Z], axis=-2)
+    det = Z[..., 0, 0] if Z.shape[-1] == 1 else np.linalg.det(Z)
+    return np.minimum(np.abs(det) / scale, 1.0)
 
 
 def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
@@ -780,7 +775,7 @@ def _point_abs_D(problem: _ScanProblem, zf: BoundaryFrequency,
     return lopatinski_det(scipy.linalg.block_diag(*bases), problem.operator, zf).abs_D
 
 
-def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
+def _evaluate(problem: _ScanProblem, kernel, P: np.ndarray,
               eps_cont: float) -> tuple[np.ndarray, dict, int]:
     """|D| at each (tau, gamma_L, eta1, eta2) row of P, the MhdStabError of
     each failed row by row index (its |D| entry is NaN), and the number of
@@ -793,29 +788,27 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
     1 to 7; W = I or none at dimension 0 or 8, where a row whose
     symmetrizer bound |Im mu| >= gamma * damping (module docstring; gamma =
     eps_cont at continuation rows) clears the gap test twice over needs no
-    eigenvalues and the other rows count the signs of mu.
+    eigenvalues and the other rows count the signs of mu.  ker M comes from
+    `kernel` (`_scan_kernel`).
     A row goes to `_point_abs_D` when a count is wrong, min |Im mu| < 1e-8,
-    `complement` does not certify it, `range_rows` does not vouch for it,
-    or its side is known only by G at dimension 1 to 7; so failures come
-    from there.
+    `complement` does not certify it, `kernel` does not vouch for it, or
+    K has other than 8 sides - dim E_minus columns; so failures come from
+    there.
     """
     cont = P[:, 1] <= 1e-8  # as in stable_subspace
     gamma = np.where(cont, eps_cont, P[:, 1])  # the damping each row's G carries
     trusted = np.ones(len(P), dtype=bool)
     bases = []
     for side in problem.sides:
-        known = isinstance(side, _Side)  # else it is known by G, dim and a_d_inv alone
         # rows whose split needs eigenvalues; the factor 2 covers the rounding
         # of the bound and of the eigenvalues
-        need = gamma * (side.damping if known else 0.0) < 2e-8
+        need = gamma * side.damping < 2e-8
         W_h = np.eye(8)[side.dim:]  # the complement's rows at dimension 0 or 8
-        if 0 < side.dim < 8 and not known:
-            trusted[:] = False
-        elif need.any():
+        if need.any():
             G = side.G(P[need])
             shift = cont[need]
             G[shift] -= (1j * (eps_cont - P[need][shift, 1]))[:, None, None] * side.a_d_inv
-            mu, exact = (side.roots(P[need], gamma[need]) if known and side.closed_form
+            mu, exact = (side.roots(P[need], gamma[need]) if side.closed_form
                          else (np.empty((len(G), 8), dtype=complex), np.zeros(len(G), dtype=bool)))
             if not exact.all():
                 lam = np.linalg.eigvals(G[~exact])
@@ -826,10 +819,10 @@ def _evaluate(problem: _ScanProblem, range_rows, P: np.ndarray,
             trusted[need] &= ((np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
                               & (np.abs(mu.imag).min(axis=1) >= 1e-8))
         bases.append(W_h)
-    V, ok = range_rows(P)
+    K, scale, ok = kernel(P)
     trusted &= ok
-    if V.shape[-2] == problem.expected_dim:
-        abs_D = np.broadcast_to(_abs_det(V, bases), len(P)).copy()
+    if K.shape[-1] == 8 * len(problem.sides) - problem.expected_dim:
+        abs_D = np.broadcast_to(_abs_det(bases, K, scale), len(P)).copy()
     else:  # no row can pass the dimension check
         abs_D = np.zeros(len(P))
         trusted[:] = False
@@ -848,12 +841,12 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
     if grid is None:
         grid = HemisphereGrid()
     P = grid._rows()
-    range_rows = _range_rows(problem.operator)
+    kernel = _scan_kernel(problem.operator)
     n_fallback = 0
 
     def evaluate(rows: np.ndarray) -> tuple[np.ndarray, dict]:
         nonlocal n_fallback
-        values, errors, n = _evaluate(problem, range_rows, rows, eps_cont)
+        values, errors, n = _evaluate(problem, kernel, rows, eps_cont)
         n_fallback += n
         return values, errors
 
@@ -1310,11 +1303,16 @@ def shock_boundary_operator(shock: PlanarShock,
     sign conventions.  With `zf` supplied, the operator is frozen at that
     frequency; otherwise it is frequency dependent.  Raises RankDeficiency
     (possibly at evaluation time) when the front coefficient degenerates,
-    e.g. for a zero-strength shock.  Scans skip the SVD of M: with N_pair^H
-    = W R, the rows of M = H(b_hat)[1:] R^H W^H span {y W^H : y g = 0}, g =
-    R^{-H} b_f, as do the orthonormal rows of H(g_hat)[1:] W^H.  By
-    interlacing, s_7(M) >= s_8(N_pair) and s_1(M) <= s_1(N_pair), so M
-    passes the rank test wherever N_pair does; if not, scans take its SVD.
+    e.g. for a zero-strength shock.  M = Q N_pair, N_pair = [N_r, -N_l], Q
+    the orthonormal complement of b_f, so ker M = {(x_r, x_l) : N_r x_r -
+    N_l x_l in span b_f}.  Scans take Majda's basis K = [[N_r^{-1} N_l,
+    N_r^{-1} b_f], [I_8, 0]] of it (Majda 1983; Blokhin & Trakhinin 2002),
+    with sqrt(det(K^H K)) = g0 |k_perp|, g0 = sqrt(det(K0^H K0)) for K0 the
+    constant first 8 columns and k_perp the part of the last orthogonal to
+    them; a fast shock's |D| is |w^H N_r^{-1} b_f| / (g0 |k_perp|).  N_r is
+    invertible where the downstream side is not characteristic, which its
+    `_Side` checks: det N_r = det(dq/dv) det A_d / u_d, det(dq/dv) = rho^4
+    e_theta > 0.
     """
     d = shock.axis
     eos = shock.eos
@@ -1344,49 +1342,39 @@ def shock_boundary_operator(shock: PlanarShock,
     N_pair = np.hstack([N_r, -N_l]).astype(complex)
 
     def front(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """b_f / |b_f| at the rows of P, and the rows where b_f does not degenerate."""
+        """b_f at the rows of P, and the rows where it does not degenerate."""
         s = P[:, 1] + 1j * P[:, 0]
         b_f = s[:, None] * q_jump + 1j * (P[:, 2:3] * f_jump[t1] + P[:, 3:4] * f_jump[t2])
         b_f[:, b_row] = 1j * (P[:, 2] * bt_jump[0] + P[:, 3] * bt_jump[1])
         zeta_scale = np.abs(s) + np.linalg.norm(P[:, 2:4], axis=1)
-        b_norm = np.linalg.norm(b_f, axis=1)
-        ok = b_norm > 1e-12 * np.maximum(zeta_scale * jump_scale, 1e-300)
-        return b_f / np.where(ok, b_norm, 1.0)[:, None], ok
+        ok = np.linalg.norm(b_f, axis=1) > 1e-12 * np.maximum(zeta_scale * jump_scale, 1e-300)
+        return b_f, ok
 
     def evaluate(zf: BoundaryFrequency) -> np.ndarray:
-        b_hat, ok = front(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
+        b_f, ok = front(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
         if not ok[0]:
             raise RankDeficiency(
                 f"front coefficient degenerates at zeta = {zf.to_dict()}")
-        return _complement_rows(b_hat, N_pair)[0]
+        Q = np.linalg.qr(b_f.T, mode="complete")[0]  # column 0 along b_f
+        return Q[:, 1:].conj().T @ N_pair
 
     if zf is not None:
         return BoundaryOperator.from_matrix(evaluate(zf))
     op = BoundaryOperator(evaluate, n=16, p=7)
-    W, R = np.linalg.qr(N_pair.conj().T)
-    s = np.linalg.svd(N_pair, compute_uv=False)
-    if s[-1] > 1e-10 * s[0]:
-        R_inv_h = np.linalg.inv(R).conj()  # g as a row: b_f^T conj(R^{-1})
+    N_r_inv = np.linalg.inv(N_r)
+    X = N_r_inv @ N_l
+    Q0, R0 = np.linalg.qr(np.vstack([X, np.eye(8)]), mode="complete")
+    g0 = abs(np.prod(np.diag(R0)))
+    perp = Q0[:8, 8:].conj().T @ N_r_inv  # b_f -> k_perp in the basis Q0[:, 8:]
 
-        def closed_form(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            b_hat, ok = front(P)
-            g = np.where(ok[:, None], b_hat, 1.0) @ R_inv_h
-            g /= np.linalg.norm(g, axis=1)[:, None]
-            return _complement_rows(g, W.conj().T), ok
-        op._closed_form = closed_form
+    def kernel(P: np.ndarray):  # K without its [I_8 0] rows, see `_abs_det`
+        b_f, ok = front(P)
+        b_f = np.where(ok[:, None], b_f, 1.0)  # a stand-in where the per-point path takes over
+        K = np.concatenate([np.broadcast_to(X, (len(P), 8, 8)),
+                            (b_f @ N_r_inv.T)[:, :, None]], axis=2)
+        return K, g0 * np.linalg.norm(b_f @ perp.T, axis=1), ok
+    op._kernel = kernel
     return op
-
-
-def _complement_rows(u: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Rows 1.. of H X, H = I - 2 v v^H / (v^H v) with v = u + phase(u_0) e_0
-    the reflector mapping the unit row u onto e_0's span, for each u of a
-    stack: they span {y X : y u = 0}, orthonormal when X's rows are."""
-    a0 = np.abs(u[:, 0])
-    v = u.copy()
-    v[:, 0] += np.divide(u[:, 0], a0, out=np.ones(len(u), dtype=complex),
-                         where=a0 > 0.0)
-    w = (2.0 / np.sum(np.abs(v) ** 2, axis=1))[:, None] * (v.conj() @ X)
-    return X[1:] - v[:, 1:, None] * w[:, None, :]
 
 
 def _shock_problem(shock: PlanarShock, tol_det: float) -> _ScanProblem:

@@ -265,6 +265,29 @@ def test_shock_study_matches_library_op(tmp_path):
         assert int(nf) == row.n_failures
 
 
+def test_shock_study_refinement_compares_each_row(tmp_path):
+    from mhdstab.lopatinski import GasShockSpec, HemisphereGrid, b_to_zero_study
+    from mhdstab.thermo import IdealGas
+
+    cfg_dict = study_config()
+    cfg = write_config(tmp_path, cfg_dict)
+    out = tmp_path / "out"
+    assert run(["shock-study", "--config", cfg, "--out", str(out), "--refine", "2"]) == 0
+    data = read_json(out / "study.json")
+    ref = data["refinement"]
+    assert (ref["factor"], ref["convergence_tol"]) == (2, 0.05)
+    fine = b_to_zero_study(
+        IdealGas(R=1.0, c_v=1.5), GasShockSpec(**{**cfg_dict["gas_shock"], "b_direction": (1, 0, 0)}),
+        cfg_dict["B_values"], HemisphereGrid(**cfg_dict["grid"]).refined(2),
+        polish_rounds=cfg_dict["polish_rounds"])
+    assert [r["B"] for r in ref["rows"]] == [row["B"] for row in data["rows"]]
+    for r, row, fine_row in zip(ref["rows"], data["rows"], fine.rows):
+        assert r["min_abs_D"] == [row["min_abs_D"], fine_row.min_abs_D]
+        base, fine_value = r["min_abs_D"]
+        assert r["converged"] == (abs(base - fine_value) <= 0.05 * fine_value)
+    assert ref["converged"] == all(r["converged"] for r in ref["rows"])
+
+
 def test_shock_study_byte_determinism(tmp_path):
     cfg = write_config(tmp_path, study_config())
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -358,6 +381,33 @@ def test_scan_science_error_before_any_point_exits_1(tmp_path, capsys, case):
     assert run(["scan", "--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {error_type}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tolerances, field", [
+    ({"eps": 1e-6}, "tolerances.eps"),
+    ({"eps_cont": 0.0}, "tolerances.eps_cont"),
+    ({"tol_det": -1e-10}, "tolerances.tol_det"),
+], ids=["unknown-key", "zero", "negative"])
+def test_tolerances_config_error_exits_2(tmp_path, capsys, tolerances, field):
+    cfg = write_config(tmp_path, {**scan_config(), "tolerances": tolerances})
+    assert run(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+
+def test_tolerances_eps_cont_reaches_the_scan(tmp_path):
+    # at eps_cont = 1e-9 the continuation damping is below the batch's 1e-8
+    # gap test, so every equator row takes the per-point path; by default
+    # none does
+    fallbacks = []
+    for tolerances in ({}, {"eps_cont": 1e-9}):
+        cfg = write_config(tmp_path, {**scan_config(), "tolerances": tolerances})
+        out = tmp_path / f"out{len(fallbacks)}"
+        assert run(["scan", "--config", cfg, "--out", str(out)]) == 0
+        n_equator = sum(line.split(",")[1] == "0" for line in
+                        (out / "scan.csv").read_text().splitlines()[1:])
+        fallbacks.append(read_json(out / "scan.json")["diagnostics"]["n_fallback"])
+    assert n_equator == SMALL_GRID["equator_refine"] * SMALL_GRID["n_sphere"]
+    assert fallbacks[0] == 0 and fallbacks[1] >= n_equator
 
 
 @pytest.mark.parametrize("edit, field", [

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import scipy.linalg
 
+from mhdstab.cli import write_csv
 from mhdstab.errors import (
     CharacteristicBoundary,
     DimensionMismatch,
@@ -11,7 +14,7 @@ from mhdstab.errors import (
     NoAdmissibleShock,
     RankDeficiency,
 )
-from mhdstab.thermo import ThermoState
+from mhdstab.thermo import ThermoState, eval_eos
 from mhdstab.symbol import assemble_full_symbol, boundary_matrix, unit_vector
 from mhdstab.charstruct import wave_speeds
 from mhdstab.lopatinski import (
@@ -41,11 +44,12 @@ from mhdstab.lopatinski import (
     _evaluate,
     _one_sided_problem,
     _polish_min,
-    _range_rows,
-    _right_singular_rows,
     _scan,
+    _scan_kernel,
     _shock_problem,
 )
+
+from conftest import random_state
 
 SUBSONIC_STATE = ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0,
                              B=[0.3, 0.1, 0.2])
@@ -343,7 +347,7 @@ def test_uniform_scan_csv_round_trip(gas, tmp_path):
     res = uniform_scan(st, gas, 3, BoundaryOperator.from_matrix(E0.conj().T),
                        grid, polish_rounds=0)
     path = tmp_path / "scan.csv"
-    res.write_csv(path)
+    write_csv(path, ["tau", "gamma_L", "eta1", "eta2", "abs_D", "dim_Eminus"], res.rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "tau,gamma_L,eta1,eta2,abs_D,dim_Eminus"
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
@@ -438,6 +442,19 @@ def test_slow_family_requires_normal_field(gas):
     with pytest.raises(NoAdmissibleShock):
         # B_d = 0 makes the slow speed vanish along the normal
         rankine_hugoniot(gas, up, family="slow", mach=1.5, d=3)
+
+
+@pytest.mark.parametrize("B, mach, message", [
+    ([0.1, 0.0, 0.2], 1.1, "Newton converged to the trivial"),
+    ([0.1, 0.0, 1.0], 1.5, "violates the Lax slow-family pattern"),
+    ([0.1, 0.0, 1.5], 1.5, "Newton did not converge"),
+], ids=["trivial", "lax-violation", "no-convergence"])
+def test_slow_family_jump_solve_failures_raise(gas, B, mach, message):
+    # from the gas-dynamic seed, Newton on the slow-family jump conditions
+    # finds no shock, a shock of another Lax pattern, or nothing at all
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
+    with pytest.raises(NoAdmissibleShock, match=message):
+        rankine_hugoniot(gas, up, family="slow", mach=mach, d=3)
 
 
 def test_shock_round_trip(gas):
@@ -596,20 +613,20 @@ def test_scan_rows_match_reference_path(gas):
 def test_scan_flags_unsigned_upstream_continuation(gas):
     # Shifting the upstream block along the unsigned A_d^{-1} at gamma_L = 0
     # takes its splitting from gamma_L < 0; the dimension check must turn
-    # that into per-point failures, not a wrong |D|.
-    from mhdstab.lopatinski import _scan, _shock_problem
-
-    class UnsignedContinuation:
-        def __init__(self, side):
-            self.G, self.dim, self.a_d_inv = side.G, side.dim, -side.a_d_inv
-
+    # that into per-point failures, not a wrong |D|.  The upstream side keeps
+    # its G but continues along -A_d^{-1}; without the symmetrizer bound and
+    # the closed-form roots (both of the signed side) every row counts the
+    # eigenvalues of its shifted G.
     up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0])
     sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
     grid = _mixed_grid(30, 62)
     good = _scan(_shock_problem(sh, 1e-10), grid, 1e-6, polish_rounds=0)
     problem = _shock_problem(sh, 1e-10)
     right, left = problem.sides
-    problem.sides = (right, UnsignedContinuation(left))
+    unsigned = copy.copy(left)
+    unsigned.G, unsigned.a_d_inv = left.G, -left.a_d_inv
+    unsigned.damping, unsigned.closed_form = 0.0, False
+    problem.sides = (right, unsigned)
     bad = _scan(problem, grid, 1e-6, polish_rounds=0)
     equator = {i for i, zf in enumerate(grid.points()) if zf.gamma_L == 0.0}
     assert not good.failures
@@ -849,53 +866,101 @@ def test_polish_takes_first_strict_minimum_in_lattice_order():
                          "type": "RankDeficiency", "message": "probe"}]
 
 
-@pytest.mark.parametrize("B, zf", [
-    ([0.05, 0.0, 0.0], BoundaryFrequency(0.3, 0.4, [0.2, 0.1]).normalized()),
-    ([0.2, -0.1, 0.3], BoundaryFrequency(0.6, 0.0, [0.64, -0.48])),  # gamma_L = 0
-    ([0.0, 0.0, 0.0], BoundaryFrequency(0.0, 0.0, [0.6, 0.8])),  # b_hat_0 = 0
-], ids=["interior", "equator", "zero-mass-component"])
-def test_closed_form_shock_rows_span_range_of_operator(gas, B, zf):
-    """The scan's closed-form rows V are orthonormal, span the rows of
-    op.matrix(zf), and give the |det(V E)| of the SVD route."""
+@pytest.mark.parametrize("family, B, mach, zf", [
+    ("fast", [0.05, 0.0, 0.0], 2.0, BoundaryFrequency(0.3, 0.4, [0.2, 0.1]).normalized()),
+    ("fast", [0.2, -0.1, 0.3], 2.0, BoundaryFrequency(0.6, 0.0, [0.64, -0.48])),  # gamma_L = 0
+    ("fast", [0.0, 0.0, 0.0], 2.0, BoundaryFrequency(0.0, 0.0, [0.6, 0.8])),  # b_f_0 = 0
+    ("slow", [0.2, 0.0, 1.5], 1.1, BoundaryFrequency(0.3, 0.4, [0.2, 0.1]).normalized()),
+], ids=["interior", "equator", "zero-mass-component", "slow-shock"])
+def test_majda_kernel_basis_spans_ker_M_and_gives_abs_D(gas, family, B, mach, zf):
+    """The scan's basis K of ker M (Majda's, its upstream rows [I_8 0] left
+    implicit) spans ker op.matrix(zf) with its scale sqrt(det(K^H K)), and
+    |det(W^H K)| / scale, W an orthonormal basis of the complement of the
+    Schur E_minus, is the |D| of lopatinski_det."""
     up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
-    sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
+    sh = rankine_hugoniot(gas, up, family=family, mach=mach, d=3)
     op = shock_boundary_operator(sh)
-    (V,), (ok,) = op._closed_form(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
+    (K,), (scale,), (ok,) = _scan_kernel(op)(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
     assert ok
+    K = np.vstack([K, np.eye(8, 9)])
     M = op.matrix(zf)
-    assert_allclose(V @ V.conj().T, np.eye(7), rtol=0, atol=1e-12)
-    assert np.linalg.norm(M - M @ V.conj().T @ V) <= 1e-12 * np.linalg.norm(M)
-    problem = _shock_problem(sh, 1e-10)
-    E = _direct_sum_E(problem, zf)
-    V_svd = _right_singular_rows(M, full_matrices=False)
-    assert_allclose(abs(np.linalg.det(V @ E)), abs(np.linalg.det(V_svd @ E)),
-                    rtol=0, atol=1e-14)
+    assert np.linalg.norm(M @ K) <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(K)
+    assert np.linalg.matrix_rank(K) == 9
+    assert_allclose(scale, np.sqrt(abs(np.linalg.det(K.conj().T @ K))), rtol=1e-10)
+    E = _direct_sum_E(_shock_problem(sh, 1e-10), zf)
+    W = np.linalg.qr(E, mode="complete")[0][:, E.shape[1]:]
+    assert_allclose(abs(np.linalg.det(W.conj().T @ K)) / scale,
+                    lopatinski_det(E, op, zf).abs_D, rtol=0, atol=1e-14)
+
+
+def test_downstream_flux_jacobian_invertible_off_characteristic(gas):
+    # with its normal-induction row replaced as in the shock operator, det N
+    # = det(dq/dv) det A_d / u_d, det(dq/dv) = rho^4 e_theta > 0: N_r is
+    # invertible wherever A_d is, so Majda's basis needs no other route;
+    # checked to rounding in units of cond(A_d)
+    rng = np.random.default_rng(88)
+    for _ in range(300):
+        st = random_state(rng)
+        v = st.as_array()
+        dq = conserved_jacobian(v, gas)
+        e_theta = eval_eos(gas, st.rho, st.theta).e_theta
+        assert_allclose(np.linalg.det(dq), st.rho**4 * e_theta, rtol=1e-13)
+        for d in (1, 2, 3):
+            N = flux_jacobian(v, gas, d)
+            N[4 + d] = np.eye(8)[4 + d]
+            A_d = assemble_full_symbol(st, gas, unit_vector(d))
+            want = np.linalg.det(dq) * np.linalg.det(A_d) / st.u[d - 1]
+            assert abs(np.linalg.det(N) - want) <= 1e-13 * np.linalg.cond(A_d) * abs(want)
+
+
+def test_fast_shock_and_constant_operator_scans_take_no_stacked_det_or_svd(gas, monkeypatch):
+    # |D| is |w^H N_r^{-1} b_f| / (g0 |k_perp|) on a fast shock and |w^H k| for
+    # a constant operator on a dimension-7 side: no determinant or SVD of a
+    # stack; a slow shock (sides of dimensions 5 and 2) takes the 9x9 det
+    calls = {"det": 0, "svd": 0}
+    for name in calls:
+        def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += np.ndim(a) > 2
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    grid = HemisphereGrid(2, 40, 2)
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    zf0 = BoundaryFrequency(0.3, 0.5, [0.4, -0.1]).normalized()
+    E0 = stable_subspace(assemble_G(SUBSONIC_STATE, gas, 3, zf0), zf0.gamma_L)
+    for res in (shock_scan(sh, grid, polish_rounds=2),
+                uniform_scan(SUBSONIC_STATE, gas, 3, E0.conj().T, grid, polish_rounds=2)):
+        assert not res.failures and res.n_fallback == 0
+    assert calls == {"det": 0, "svd": 0}
+    slow = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, 0, 1.5]),
+                            family="slow", mach=1.1, d=3)
+    assert shock_scan(slow, grid, polish_rounds=0).n_fallback == 0
+    assert calls["det"] > 0 and calls["svd"] == 0
 
 
 def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
-    # a 2x2 Jordan block inside E_minus, on a side known only by its G at
-    # dimension 4: the batch has no closed-form left vectors for it, so
-    # every row takes the Schur path
+    # a 2x2 Jordan block inside a 3-dimensional E_minus, put on the outflow
+    # side (dimension 3) in place of its G, with A_d^{-1} = I so that the
+    # continuation shift keeps the invariant subspaces: the eigenvalues come
+    # from the 8x8 eigvals, so the closed-form left vectors at the side's
+    # unstable linear roots cannot be certified, and every row takes the
+    # Schur path
     rng = np.random.default_rng(73)
     S = rng.standard_normal((8, 8))
-    J = np.diag([-1j, -1j, -2j, -3j, 1j, 2j, 3j, 4j])
+    J = np.diag([-1j, -1j, -2j, 1j, 2j, 3j, 4j, 5j])
     J[0, 1] = 1.0
     G0 = S @ J @ np.linalg.inv(S)
-
-    class JordanSide:
-        dim, a_d_inv = 4, np.eye(8)
-
-        def G(self, zf):
-            if isinstance(zf, BoundaryFrequency):
-                return G0
-            return np.repeat(G0[None], len(zf), axis=0)
-
-    M = BoundaryOperator.from_matrix(rng.standard_normal((4, 8)))
+    side = _Side(OUTFLOW, gas, 3, 1e-10)
+    assert side.dim == 3 and len(side.unstable_linear) > 0
+    side.G = lambda zf: G0 if isinstance(zf, BoundaryFrequency) else np.repeat(
+        G0[None], len(zf), axis=0)
+    side.a_d_inv, side.closed_form = np.eye(8), False
+    M = BoundaryOperator.from_matrix(rng.standard_normal((3, 8)))
     grid = _mixed_grid(20, 74)
     fallbacks = _count_fallbacks(monkeypatch)
-    res = _scan(_ScanProblem((JordanSide(),), M), grid, 1e-6, polish_rounds=0)
+    res = _scan(_ScanProblem((side,), M), grid, 1e-6, polish_rounds=0)
     monkeypatch.undo()
-    assert len(fallbacks) == grid.n_points and not res.failures
+    assert len(fallbacks) == res.n_fallback == grid.n_points and not res.failures
     # shifting G by a multiple of I at the equator keeps its invariant subspaces
     want = lopatinski_det(stable_subspace(G0, 1.0), M).abs_D
     assert_allclose([row[4] for row in res.rows], want, rtol=0, atol=1e-12)
@@ -964,7 +1029,7 @@ def test_batched_scan_survives_exactly_singular_inverse_iteration(gas):
     grid = ExplicitGrid(points[:150] + [zf] + points[150:])
     want, failures = _oracle(gas, [(sh.right, 1.0), (sh.left, -1.0)], 3, problem.operator, grid)
     assert failures == []
-    abs_D, errors, n_fallback = _evaluate(problem, _range_rows(problem.operator),
+    abs_D, errors, n_fallback = _evaluate(problem, _scan_kernel(problem.operator),
                                           grid._rows(), 1e-6)
     assert errors == {} and n_fallback <= 1
     assert_allclose(abs_D, want, rtol=0, atol=1e-12)
@@ -1204,7 +1269,7 @@ def test_batched_scan_retries_an_exactly_singular_moved_shift(gas):
     grid = ExplicitGrid(points[:150] + [zf] + points[150:])
     want, failures = _oracle(gas, [(sh.right, 1.0), (sh.left, -1.0)], 3, problem.operator, grid)
     assert failures == []
-    abs_D, errors, n_fallback = _evaluate(problem, _range_rows(problem.operator),
+    abs_D, errors, n_fallback = _evaluate(problem, _scan_kernel(problem.operator),
                                           grid._rows(), 1e-6)
     assert errors == {} and n_fallback == 0
     assert_allclose(abs_D, want, rtol=0, atol=1e-12)
