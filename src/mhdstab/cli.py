@@ -27,6 +27,7 @@ import numpy as np
 from .charstruct import BoundaryFrame, classification_record, classify, wave_speeds
 from .errors import ConfigError, MhdStabError
 from .lopatinski import (
+    _GAP_FLOOR,
     _LAX_PATTERNS,
     BoundaryFrequency,
     GasShockSpec,
@@ -263,6 +264,10 @@ def _parse_scan_settings(cfg: dict) -> tuple:
     conv_tol = _expect_number(cfg.get("convergence_tol", 0.05), "convergence_tol")
     if conv_tol <= 0.0:
         _fail("convergence_tol", f"must be positive, got {conv_tol}")
+    if tols["eps_cont"] < _GAP_FLOOR:
+        print(f"note: tolerances.eps_cont = {tols['eps_cont']:g} is below the scan's "
+              f"spectral gap floor {_GAP_FLOOR:g}; the equator rows (gamma_L <= 1e-8) take "
+              "the slower per-point path", file=sys.stderr)
     scan_kwargs = {"tol_det": tols["tol_det"], "eps_cont": tols["eps_cont"],
                    "polish_rounds": polish_rounds}
     return eos, grid, scan_kwargs, conv_tol

@@ -410,6 +410,26 @@ def test_tolerances_eps_cont_reaches_the_scan(tmp_path):
     assert fallbacks[0] == 0 and fallbacks[1] >= n_equator
 
 
+@pytest.mark.parametrize("command, make_config", [
+    ("scan", scan_config),
+    ("shock-study", lambda: {**study_config(), "B_values": [0.0], "polish_rounds": 0}),
+], ids=["scan", "shock-study"])
+def test_eps_cont_below_the_gap_floor_is_noted_on_stderr(tmp_path, capsys, command,
+                                                          make_config):
+    # the note is one stderr line, printed once per run and only below the
+    # floor; the output files do not carry it
+    errs = []
+    for tolerances in ({}, {"eps_cont": 1e-9}):
+        cfg = write_config(tmp_path, {**make_config(), "tolerances": tolerances})
+        assert run([command, "--config", cfg, "--out", str(tmp_path / f"out{len(errs)}")]) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == ""
+    assert errs[1].count("\n") == 1
+    assert errs[1].startswith("note: tolerances.eps_cont = 1e-09 is below the scan's "
+                              "spectral gap floor 1e-08")
+    assert not any("note:" in p.read_text() for p in (tmp_path / "out1").iterdir())
+
+
 @pytest.mark.parametrize("edit, field", [
     ({"B_values": [0.1, -0.1]}, "B_values"),
     ({"gas_shock": {"rho": 1.0, "theta": 1.0, "mach": 2.0, "b_direction": [0, 0, 0]}},

@@ -1,6 +1,11 @@
-"""Every exported name resolves, so a deletion cannot leave a dangling export."""
+"""Every exported name resolves, so a deletion cannot leave a dangling export,
+and importing the package loads only what every command runs."""
 
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +30,11 @@ def test_package_reexports_declared_names():
              and not (isinstance(v, type) and issubclass(v, errors.MhdStabError))]
     assert stray == []
     assert {"classify", "nonglancing_test", "uniform_scan", "MhdStabError"} <= set(public)
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the per-point reference path, which imports it there
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, mhdstab; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -873,16 +873,17 @@ def test_polish_takes_first_strict_minimum_in_lattice_order():
     ("slow", [0.2, 0.0, 1.5], 1.1, BoundaryFrequency(0.3, 0.4, [0.2, 0.1]).normalized()),
 ], ids=["interior", "equator", "zero-mass-component", "slow-shock"])
 def test_majda_kernel_basis_spans_ker_M_and_gives_abs_D(gas, family, B, mach, zf):
-    """The scan's basis K of ker M (Majda's, its upstream rows [I_8 0] left
-    implicit) spans ker op.matrix(zf) with its scale sqrt(det(K^H K)), and
+    """The scan's basis K of ker M (Majda's, as the pair of its constant
+    block and its last column, its upstream rows [I_8 0] left implicit)
+    spans ker op.matrix(zf) with its scale sqrt(det(K^H K)), and
     |det(W^H K)| / scale, W an orthonormal basis of the complement of the
     Schur E_minus, is the |D| of lopatinski_det."""
     up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
     sh = rankine_hugoniot(gas, up, family=family, mach=mach, d=3)
     op = shock_boundary_operator(sh)
-    (K,), (scale,), (ok,) = _scan_kernel(op)(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
+    (X, (k,)), (scale,), (ok,) = _scan_kernel(op)(np.array([[zf.tau, zf.gamma_L, *zf.eta]]))
     assert ok
-    K = np.vstack([K, np.eye(8, 9)])
+    K = np.vstack([np.hstack([X, k]), np.eye(8, 9)])
     M = op.matrix(zf)
     assert np.linalg.norm(M @ K) <= 1e-12 * np.linalg.norm(M) * np.linalg.norm(K)
     assert np.linalg.matrix_rank(K) == 9
@@ -1273,3 +1274,92 @@ def test_batched_scan_retries_an_exactly_singular_moved_shift(gas):
                                           grid._rows(), 1e-6)
     assert errors == {} and n_fallback == 0
     assert_allclose(abs_D, want, rtol=0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------------
+# the left-vector certificate without the stacked G
+# ----------------------------------------------------------------------------
+
+def test_certificate_matches_the_explicit_G(gas):
+    # w^H G from one product with [s A_d^{-1} | a_t1 | a_t2] and |G|_F from
+    # the 3x3 Gram matrix agree with the explicit stack of s G, at the left
+    # vectors of all eight roots, on every side and row of the roots test,
+    # the equator rows at gamma = eps_cont included
+    P, gamma, sides = _closed_form_cases(gas)
+    for side in sides:
+        G = side.G(np.column_stack([P[:, 0], gamma, P[:, 2:]]))
+        g_norm = np.linalg.norm(G, axis=(1, 2))
+        mu, ok = side.roots(P, gamma)
+        wh = np.stack([side.left_vector(P, gamma, mu[:, col], col).conj()
+                       for col in range(8)], axis=1)
+        residual, gram_norm = side.certificate(P, gamma, wh, mu)
+        assert_allclose(gram_norm, g_norm, rtol=1e-12, atol=0)
+        explicit = np.linalg.norm(wh @ G - mu[:, :, None] * wh, axis=2)
+        rows = ok & np.all(np.isfinite(wh), axis=(1, 2))
+        assert np.count_nonzero(rows) >= 0.98 * len(P)
+        assert np.all(np.abs(residual - explicit)[rows] <= 1e-15 * g_norm[rows, None])
+
+
+def _count_G_rows(monkeypatch):
+    """Rows passed in stacks to `_Side.G`."""
+    rows = []
+
+    def G(self, zf, _f=_Side.G):
+        if np.ndim(zf) == 2:
+            rows.append(len(zf))
+        return _f(self, zf)
+    monkeypatch.setattr(_Side, "G", G)
+    return rows
+
+
+def test_scan_builds_G_only_for_eigvals_rows(gas, monkeypatch):
+    # a fast-shock scan and a frozen-complement scan trust every closed-form
+    # root, so no row builds s G; on the dimension-7 inflow at tangential |B|
+    # = 1e-5, the 8 rows of the roots test whose roots are not trusted build
+    # it for the 8x8 eigvals, and no other row does
+    grid = HemisphereGrid(2, 40, 2)
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    zf0 = BoundaryFrequency(0.3, 0.5, [0.4, -0.1]).normalized()
+    E0 = stable_subspace(assemble_G(SUBSONIC_STATE, gas, 3, zf0), zf0.gamma_L)
+    for scan in (lambda: shock_scan(sh, grid, polish_rounds=2),
+                 lambda: uniform_scan(SUBSONIC_STATE, gas, 3, E0.conj().T, grid, polish_rounds=2)):
+        G_rows = _count_G_rows(monkeypatch)
+        res = scan()
+        monkeypatch.undo()
+        assert not res.failures and res.n_fallback == 0
+        assert G_rows == []
+    P, _, _ = _closed_form_cases(gas)
+    st = ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[1e-5, 0, 0])
+    M = np.random.default_rng(83).standard_normal((n_positive(st, gas, 3), 8))
+    rows = _count_stacked_eig_rows(monkeypatch)
+    G_rows = _count_G_rows(monkeypatch)
+    res = uniform_scan(st, gas, 3, M, ExplicitGrid([BoundaryFrequency(*p[:2], p[2:]) for p in P]),
+                       polish_rounds=0)
+    monkeypatch.undo()
+    assert not res.failures and res.n_fallback == 0
+    assert sum(G_rows) == rows["eigvals"] == rows["untrusted"] == 8
+
+
+def test_scan_does_not_depend_on_the_chunk(gas, monkeypatch):
+    # one row, seven rows or a whole chunk per batched evaluation: the same
+    # rows and sweep argmin, and |D| and the polished argmin to rounding (BLAS
+    # may round a row differently in another stack size; at an equator center
+    # two polish offsets along -gamma snap back onto the center, so a
+    # rounding-level tie can move the argmin by a rounding unit)
+    from mhdstab import lopatinski
+
+    grid = HemisphereGrid(2, 20, 2)
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    results = []
+    for chunk in (1, 7, _CHUNK):
+        monkeypatch.setattr(lopatinski, "_CHUNK", chunk)
+        results.append(shock_scan(sh, grid, polish_rounds=1))
+    for res in results:
+        assert res.n_fallback == 0 and len(res.rows) == grid.n_points
+        assert res.sweep_argmin == results[0].sweep_argmin
+        assert_allclose(res.argmin._key(), results[0].argmin._key(), rtol=0, atol=1e-15)
+        assert abs(res.min_abs_D - results[0].min_abs_D) <= 1e-15
+        assert_allclose([row[4] for row in res.rows], [row[4] for row in results[0].rows],
+                        rtol=0, atol=1e-15)
