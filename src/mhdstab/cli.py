@@ -266,8 +266,9 @@ def _parse_scan_settings(cfg: dict) -> tuple:
         _fail("convergence_tol", f"must be positive, got {conv_tol}")
     if tols["eps_cont"] < _GAP_FLOOR:
         print(f"note: tolerances.eps_cont = {tols['eps_cont']:g} is below the scan's "
-              f"spectral gap floor {_GAP_FLOOR:g}; the equator rows (gamma_L <= 1e-8) take "
-              "the slower per-point path", file=sys.stderr)
+              f"spectral gap floor {_GAP_FLOOR:g}; equator rows may take the slower "
+              "per-point path (each row whose gap min |Im mu|, which scales with "
+              "eps_cont, falls below the floor)", file=sys.stderr)
     scan_kwargs = {"tol_det": tols["tol_det"], "eps_cont": tols["eps_cont"],
                    "polish_rounds": polish_rounds}
     return eos, grid, scan_kwargs, conv_tol

@@ -329,10 +329,10 @@ class _Side:
             sign * (self.u_d + self.b_d * np.array([0, 0, -1, 1, 0, 0])[:self.n_linear]) < 0.0)
         self.rho, self.kappa = state.rho, ev.P_theta * state.theta / (state.rho * ev.e_theta)
         self.sym_a_d = symmetrizer(state, eos) @ A_d
-        # for `certificate`: the 8x24 block [s A_d^{-1} | a_t1 | a_t2] and
-        # the real 3x3 Gram matrix of the three
+        # for `certificate`: s A_d^{-1}, a_t1 and a_t2, and their real 3x3
+        # Gram matrix
         parts = np.stack([self.a_d_inv, self.a_t1, self.a_t2])
-        self.blocks = np.hstack(parts).astype(complex)
+        self.parts = parts.astype(complex)
         self.gram = parts.reshape(3, 64) @ parts.reshape(3, 64).T
         # `roots` solves the magnetoacoustic quartic in mu (for B = 0 the
         # quadratic T - c0^2 S), whose leading coefficient is a factor of det
@@ -466,14 +466,22 @@ class _Side:
         """(|w^H G - nu w^H|, |G|_F) for the (N, k) rows w^H of wh and their
         nu, G = s G at each row (tau, ., eta1, eta2) of P with the damping
         gamma, without G: w^H G = c0 (w^H s A_d^{-1}) + eta1 (w^H a_t1) + eta2
-        (w^H a_t2), c0 = tau - i gamma, from one product with `blocks`, and
+        (w^H a_t2), c0 = tau - i gamma, from three (N k, 8) x (8, 8) products
+        summed in place (two (N, k, 8) arrays, 256 k bytes per row), and
         |G|_F^2 = x^T gram x + gamma^2 gram_00, x = (tau, eta1, eta2)."""
-        c0 = (P[:, 0] - 1j * gamma)[:, None, None]
-        eta1, eta2 = P[:, 2, None, None], P[:, 3, None, None]
+        rows, term = wh.reshape(-1, 8), np.empty(wh.shape, complex)
         with np.errstate(invalid="ignore", over="ignore"):
-            prod = (wh.reshape(-1, 8) @ self.blocks).reshape(wh.shape[:2] + (24,))
-            wh_G = c0 * prod[..., :8] + eta1 * prod[..., 8:16] + eta2 * prod[..., 16:]
-            residual = np.linalg.norm(wh_G - nu[:, :, None] * wh, axis=2)
+            r = (rows @ self.parts[0]).reshape(wh.shape)
+            r *= (P[:, 0] - 1j * gamma)[:, None, None]
+            for part, eta in zip(self.parts[1:], P[:, 2:].T):
+                np.matmul(rows, part, out=term.reshape(-1, 8))
+                term *= eta[:, None, None]
+                r += term
+            np.multiply(nu[:, :, None], wh, out=term)
+            r -= term  # w^H G - nu w^H
+            square = r.view(float)
+            square *= square
+            residual = np.sqrt(square.sum(axis=2))
         x = P[:, [0, 2, 3]]
         return residual, np.sqrt(np.sum(x * (x @ self.gram), axis=1)
                                  + gamma * gamma * self.gram[0, 0])
@@ -743,15 +751,18 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
 
 
 # Rows per batched evaluation of the sweep.  `_evaluate`'s temporaries peak
-# at about 1.1 KB per row (no row builds its 1 KB s G unless it takes
-# `eigvals`), so a chunk's 1.1 MiB fits a 2 MiB L2 cache; the per-call cost
-# is spread thin by about 1000 rows.  OpenBLAS rounds some rows differently
-# in stacks of 4096, which moves |D| in the 16th digit on the shipped configs.
+# (tracemalloc) at about 1.2 KB per row on a side with one left vector (a
+# fast shock, a dimension-7 inflow), 5 KB on a dimension-1 outflow and 6.5
+# KB on a slow shock (5 + 2), the worst measured side, so a chunk peaks at
+# about 6.5 MiB; no row builds its 1 KB s G unless it takes `eigvals`.  By
+# 1024 rows the per-call cost is spread thin on every measured side.
+# OpenBLAS rounds some rows differently in stacks of 4096, which moves |D|
+# in the 16th digit on the shipped configs.
 _CHUNK = 1024
 
 # The smallest spectral gap min |Im mu| the batch trusts.  The gap of a
-# continuation row scales with eps_cont, so an eps_cont below the floor sends
-# the equator rows to the per-point path.
+# continuation row scales with eps_cont, so an eps_cont near or below the
+# floor sends equator rows to the per-point path.
 _GAP_FLOOR = 1e-8
 
 
@@ -1422,8 +1433,10 @@ def shock_boundary_operator(shock: PlanarShock,
         b_f, ok = front(P)
         b_f = np.where(ok[:, None], b_f, 1.0)  # a stand-in where the per-point path takes over
         k = b_f @ maps
-        # k stays a strided view, on which OpenBLAS sums w^H k in the order the
-        # shipped configs' recorded |D| has; a unit-stride k rounds otherwise
+        # k stays a strided view only to keep the CLI outputs byte-identical:
+        # OpenBLAS sums w^H k over a strided k in the order the earlier
+        # (N, 8, 9) K did, and over a unit-stride k in another.  Another BLAS
+        # build may round either way; only the last digit of |D| moves.
         return (X, k[:, 0::2, None]), g0 * np.linalg.norm(k[:, 1::2], axis=1), ok
     op._kernel = kernel
     return op

@@ -1281,7 +1281,7 @@ def test_batched_scan_retries_an_exactly_singular_moved_shift(gas):
 # ----------------------------------------------------------------------------
 
 def test_certificate_matches_the_explicit_G(gas):
-    # w^H G from one product with [s A_d^{-1} | a_t1 | a_t2] and |G|_F from
+    # w^H G from three products with s A_d^{-1}, a_t1 and a_t2 and |G|_F from
     # the 3x3 Gram matrix agree with the explicit stack of s G, at the left
     # vectors of all eight roots, on every side and row of the roots test,
     # the equator rows at gamma = eps_cont included
