@@ -113,10 +113,6 @@ class CharacteristicRoot:
     families: tuple[str, ...]
     classification: Classification = Classification.NOT_CLASSIFIED
 
-    @property
-    def family(self) -> str:
-        return self.families[0] if len(self.families) == 1 else "merged"
-
     def with_classification(self, c: Classification) -> "CharacteristicRoot":
         return CharacteristicRoot(self.lam, self.multiplicity, self.families, c)
 
@@ -221,17 +217,19 @@ def wave_speeds(state: ThermoState, eos: EquationOfState, xi) -> WaveSpeeds:
     )
 
 
-def _speed_scale(ws: WaveSpeeds, state: ThermoState) -> float:
-    return max(ws.c_f, float(np.linalg.norm(state.u)), 1.0)
+def _speed_scale(ws: WaveSpeeds, state: ThermoState, sigma: float = 0.0) -> float:
+    """The velocity scale max(c_f, |u|, |sigma|, 1) of the tolerances."""
+    return max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
 
 
 def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
                 tol_merge: float = 1e-9) -> list[CharacteristicRoot]:
     """The eight eigenvalues of A(U, xi), coincident values merged.
 
-    Values within tol_merge * |xi| * max(c_f, |u|, 1) of each other are
-    merged into one root with summed multiplicity; multiplicities always
-    sum to 8.  Classification is NotClassified; use `classify` for labels.
+    A value within tol_merge * |xi| * max(c_f, |u|, 1) of the smallest value
+    of its cluster merges into that root with summed multiplicity (see
+    `_merged_roots`); multiplicities always sum to 8.  Classification is
+    NotClassified; use `classify` for labels.
     """
     xi, xin = _check_xi(xi)
     return _merged_roots(state, xi, xin, wave_speeds(state, eos, xi), tol_merge)
@@ -239,7 +237,12 @@ def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
 
 def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds,
                   tol_merge: float = 1e-9) -> list[CharacteristicRoot]:
-    """`eigenvalues` from the caller's checked xi, |xi| and wave speeds."""
+    """`eigenvalues` from the caller's checked xi, |xi| and wave speeds.
+
+    The sorted values group by anchor: a cluster opens at its smallest value
+    and takes every later value within the band of that anchor, so values
+    spaced just under the band do not chain into one root.
+    """
     base = float(state.u @ xi)
 
     entries = [
@@ -254,28 +257,17 @@ def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds
     entries.sort(key=lambda t: t[0])
     band = tol_merge * xin * _speed_scale(ws, state)
 
-    roots: list[CharacteristicRoot] = []
-    cluster: list[tuple[float, str, int]] = []
+    clusters: list[list[tuple[float, str, int]]] = []
+    for entry in entries:
+        if not clusters or entry[0] - clusters[-1][0][0] > band:
+            clusters.append([])
+        clusters[-1].append(entry)
 
-    def flush():
-        if not cluster:
-            return
+    roots = []
+    for cluster in clusters:
         mult = sum(m for _, _, m in cluster)
-        lam = sum(v * m for v, _, m in cluster) / mult
-        fams = tuple(sorted(f for _, f, _ in cluster))
-        roots.append(CharacteristicRoot(lam, mult, fams))
-
-    anchor = None
-    for value, fam, mult in entries:
-        if anchor is not None and value - anchor > band:
-            flush()
-            cluster = []
-            anchor = None
-        if anchor is None:
-            anchor = value
-        cluster.append((value, fam, mult))
-    flush()
-
+        roots.append(CharacteristicRoot(sum(v * m for v, _, m in cluster) / mult, mult,
+                                        tuple(sorted(f for _, f, _ in cluster))))
     assert sum(r.multiplicity for r in roots) == 8
     return roots
 
@@ -442,38 +434,27 @@ def adapted_change_of_basis(state: ThermoState, eos: EquationOfState, xi) -> np.
     return V
 
 
-def _symmetric_symbol(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:
-    """H(xi) = D A(xi) D^-1 with D = S^(1/2), S the diagonal symmetrizer.
+def _symmetric_symbol(state: ThermoState, eos: EquationOfState, *xis) -> list[np.ndarray]:
+    """H(xi) = D A(xi) D^-1 at each given xi, with D = S^(1/2) built once,
+    S the diagonal symmetrizer.
 
     S A is symmetric, so H is: it has A's eigenvalues and an orthonormal
     eigenvector set, and it is linear in xi like A.
     """
     D = np.sqrt(np.diag(symmetrizer(state, eos)))
-    return D[:, None] * assemble_full_symbol(state, eos, xi) / D
+    return [D[:, None] * assemble_full_symbol(state, eos, xi) / D for xi in xis]
 
 
-def _geometric_multiplicity(state: ThermoState, eos: EquationOfState, xi,
-                            lam: float, band: float) -> int:
-    """Eigenvector count at eigenvalue lam: the eigenvalues of the symmetric
-    H(xi) inside the merge band, H being diagonalizable by an orthogonal
-    matrix.
+def _detect_regime(state: ThermoState, ws: WaveSpeeds, tol_manifold: float) -> RegimeTag:
+    """The regime predicates at one (state, xi) from its wave speeds:
+    |B| = h sqrt(rho), |xi_hat . B| = |a| sqrt(rho), |xi_hat x B| = b sqrt(rho)
+    and rho c0^2, each compared with tol_manifold times its scale.
     """
-    w = np.linalg.eigvalsh(_symmetric_symbol(state, eos, xi))
-    return int(np.sum(np.abs(w - lam) <= max(band, 1e-12 * max(1.0, abs(lam)))))
-
-
-def _detect_regime(state: ThermoState, eos: EquationOfState, xi,
-                   tol_manifold: float) -> RegimeTag:
-    xi, xin = _check_xi(xi)
-    xi_hat = xi / xin
-    B = state.B
-    Bn = float(np.linalg.norm(B))
-    rho_c0_sq = state.rho * c0_sq_from_eval(
-        eval_eos(eos, state.rho, state.theta), state.rho, state.theta)
+    sqrt_rho = math.sqrt(state.rho)
+    Bn, dot, cross = ws.h * sqrt_rho, abs(ws.a) * sqrt_rho, ws.b * sqrt_rho
+    rho_c0_sq = state.rho * ws.c0**2
 
     b_zero = Bn <= tol_manifold * math.sqrt(rho_c0_sq)
-    dot = abs(float(xi_hat @ B))
-    cross = float(np.linalg.norm(_cross(xi_hat, B)))
     dot_zero = b_zero or dot <= tol_manifold * Bn
     cross_zero = (not b_zero) and cross <= tol_manifold * Bn
 
@@ -506,11 +487,14 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
     verdict for the double roots needs boundary data; MissingBoundary is
     raised if none is supplied.  In the excluded regimes (B = 0 or
     |B|^2 = rho c0^2 within tolerance) multiple roots are reported
-    NotClassified; simple roots are Simple in every regime.
+    NotClassified; simple roots are Simple in every regime.  One
+    `wave_speeds` evaluation serves the regime tag and the merged roots; the
+    multiplicity-6 root of case b counts its eigenvectors as the eigenvalues
+    of the symmetric H(xi) inside the merge band.
     """
     xi, xin = _check_xi(xi)
-    regime = _detect_regime(state, eos, xi, tol_manifold)
     ws = wave_speeds(state, eos, xi)
+    regime = _detect_regime(state, ws, tol_manifold)
     roots = _merged_roots(state, xi, xin, ws, tol_merge)
     band = tol_merge * xin * _speed_scale(ws, state)
 
@@ -524,9 +508,11 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
             return root.with_classification(Classification.GEOMETRICALLY_REGULAR)
         if regime.case == "b":
             if root.multiplicity == 6:
-                if _geometric_multiplicity(state, eos, xi, root.lam, band) == 6:
+                # H(xi) is diagonalizable by an orthogonal matrix
+                w = np.linalg.eigvalsh(_symmetric_symbol(state, eos, xi)[0])
+                tol = max(band, 1e-12 * max(1.0, abs(root.lam)))
+                if np.count_nonzero(np.abs(w - root.lam) <= tol) == 6:
                     return root.with_classification(Classification.GEOMETRICALLY_REGULAR)
-                return root.with_classification(Classification.NOT_CLASSIFIED)
             return root.with_classification(Classification.NOT_CLASSIFIED)
         if regime.case == "c" and root.multiplicity == 2:
             if boundary is None:
@@ -536,9 +522,7 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
             d = boundary.axis
             u_d = float(state.u[d - 1])
             alf_d = float(state.B[d - 1]) / math.sqrt(state.rho)
-            vel_scale = max(ws.c_f, float(np.linalg.norm(state.u)),
-                            abs(boundary.sigma), 1.0)
-            tol = tol_manifold * vel_scale
+            tol = tol_manifold * _speed_scale(ws, state, boundary.sigma)
             rel = u_d - boundary.sigma
             if abs(rel - alf_d) > tol and abs(rel + alf_d) > tol:
                 return root.with_classification(Classification.TOTALLY_NONGLANCING)
@@ -579,7 +563,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         raise ValueError(f"derivative order capped at 6, got multiplicity {m}")
     d, sigma = boundary.axis, boundary.sigma
     ws = wave_speeds(state, eos, xi)
-    vel_scale = max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
+    vel_scale = _speed_scale(ws, state, sigma)
 
     # same-order tau derivative of P at the root: the sigma shift cancels in
     # the eigenvalue gaps
@@ -618,10 +602,10 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         # the entropy branches are exactly lambda = u . xi: both move at u_d
         velocities = np.full(m, float(state.u[d - 1]) - sigma)
     else:
-        w, V = np.linalg.eigh(_symmetric_symbol(state, eos, xi))
+        H, H_d = _symmetric_symbol(state, eos, xi, e_d)
+        w, V = np.linalg.eigh(H)
         W = V[:, np.argsort(np.abs(w - root.lam))[:m]]
-        velocities = np.linalg.eigvalsh(
-            W.T @ _symmetric_symbol(state, eos, e_d) @ W) - sigma
+        velocities = np.linalg.eigvalsh(W.T @ H_d @ W) - sigma
 
     vel_tol = 1e-8 * vel_scale
     incoming = int(np.sum(velocities > vel_tol))

@@ -301,10 +301,6 @@ def _parse_shock(cfg_shock: dict, eos: EquationOfState, path: str = "shock") -> 
 # Deterministic writers
 # ----------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def write_json(path: Path, obj: dict) -> None:
     obj = {"schema_version": SCHEMA_VERSION, **obj}
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
@@ -312,11 +308,12 @@ def write_json(path: Path, obj: dict) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row, every value as "%.17g": a float as f"{x:.17g}"
+    (-0, nan and inf included), an integer below 2**53 exactly as str()."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 # ----------------------------------------------------------------------------

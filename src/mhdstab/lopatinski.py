@@ -494,16 +494,25 @@ class _Side:
         ones of largest Im), so E_minus = W^perp.  mu is from `roots` on the
         exact rows, else eigvals by increasing Im, ok only if no linear root
         is unstable.  ok fails where a residual |w^H G - mu w^H| exceeds
-        5e-14 |G|_F (about 200 rounding units) or, for several vectors, their
-        QR has min r_ii < 1e-6 max r_ii (see `certificate`)."""
+        5e-14 |G|_F (about 200 rounding units) or 1e-12 times the gap between
+        its root and the nearest stable one, or, for several vectors, their
+        QR has min r_ii < 1e-6 max r_ii (see `certificate`).  The residual
+        over the gap is the first-order error the vector brings into the
+        span, and so into |D|; near a glancing point, where a stable and an
+        unstable root crowd, it grows past the residual itself."""
         lin, n = self.unstable_linear, self.n_linear
+        rows = np.arange(len(mu))[:, None]
         top = n + np.argsort(-mu[:, n:].imag, axis=1, kind="stable")[:, :8 - self.dim - len(lin)]
-        nu = np.concatenate([mu[:, lin], mu[np.arange(len(mu))[:, None], top]], axis=1)
+        nu = np.concatenate([mu[:, lin], mu[rows, top]], axis=1)
         wh = np.stack([self.left_vector(P, gamma, nu[:, j], col).conj() for j, col in
                        enumerate([*lin, *[n] * top.shape[1]])], axis=1)
         residual, g_norm = self.certificate(P, gamma, wh, nu)
-        ok = ((exact | (len(lin) == 0))
-              & np.all(residual <= 5e-14 * g_norm[:, None], axis=1))
+        stable = np.ones(mu.shape, dtype=bool)
+        stable[:, lin] = False
+        stable[rows, top] = False
+        gap = np.where(stable[:, None, :], np.abs(nu[:, :, None] - mu[:, None, :]), np.inf)
+        bound = np.minimum(5e-14 * g_norm[:, None], 1e-12 * gap.min(axis=2))
+        ok = (exact | (len(lin) == 0)) & np.all(residual <= bound, axis=1)
         # a failed row keeps a stand-in
         wh = np.where(ok[:, None, None], wh, 8.0 ** -0.5)
         if wh.shape[1] > 1:

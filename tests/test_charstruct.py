@@ -15,6 +15,7 @@ from mhdstab.symbol import assemble_full_symbol, assemble_tilde_symbol, unit_vec
 from mhdstab.charstruct import (
     BoundaryFrame,
     Classification,
+    WaveSpeeds,
     adapted_block_matrix,
     adapted_change_of_basis,
     char_poly_reduced,
@@ -26,7 +27,7 @@ from mhdstab.charstruct import (
     tangent_basis,
     wave_speeds,
 )
-from mhdstab.charstruct import _char_poly_factors, _factored_char_poly
+from mhdstab.charstruct import _char_poly_factors, _factored_char_poly, _merged_roots
 
 from conftest import random_state, random_xi, random_rotation
 
@@ -412,6 +413,101 @@ def test_classification_record_shape(gas):
     assert all(set(r) == {"lambda", "mult", "class", "families"}
                for r in rec["roots"])
     assert sum(r["mult"] for r in rec["roots"]) == 8
+
+
+def _geometric_regime(state, eos, xi, tol) -> dict:
+    """The RegimeTag fields from the direct geometry: |xi_hat . B|,
+    |xi_hat x B|, |B| and rho c0^2."""
+    xi_hat = np.asarray(xi, dtype=float) / np.linalg.norm(xi)
+    Bn = float(np.linalg.norm(state.B))
+    rho_c0_sq = state.rho * sound_speed_sq(eos, state)
+    dot = abs(float(xi_hat @ state.B))
+    cross = float(np.linalg.norm(np.cross(xi_hat, state.B)))
+    b_zero = Bn <= tol * math.sqrt(rho_c0_sq)
+    dot_zero = b_zero or dot <= tol * Bn
+    cross_zero = not b_zero and cross <= tol * Bn
+    diff = Bn**2 - rho_c0_sq
+    equal = abs(diff) <= tol * (Bn**2 + rho_c0_sq)
+    return {
+        "xi_dot_B_zero": dot_zero,
+        "xi_cross_B_zero": cross_zero,
+        "field_vs_sound": "equal" if equal else ("sub" if diff < 0 else "super"),
+        "B_zero": b_zero,
+        "near_manifold": ((b_zero and Bn > 0.0) or (dot_zero and not b_zero and dot > 0.0)
+                          or (cross_zero and cross > 0.0) or (equal and diff != 0.0)),
+    }
+
+
+def test_regime_flags_from_wave_speeds_match_the_geometry(gas):
+    # classify takes |B|, |xi_hat . B|, |xi_hat x B| and rho c0^2 from its
+    # wave speeds.  Points 1e-6 (relative) either side of each threshold
+    # must carry the geometry's flags, and each pair must straddle its
+    # threshold.  At tol 1e-9 the frames are coordinate axes, so that
+    # xi_hat . B and xi_hat x B are exact and the margin is not rounding.
+    rng = np.random.default_rng(41)
+    for tol in (1e-9, 1e-4):
+        for _ in range(3):
+            st = random_state(rng, B_max=0.0)
+            rho_c0_sq = st.rho * sound_speed_sq(gas, st)
+            Q = (random_rotation(rng) if tol > 1e-6
+                 else np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], 3))
+            e1, e3 = Q[:, 0], Q[:, 2]
+            Bn = 0.6 * math.sqrt(rho_c0_sq)
+
+            def field(t, key):
+                if key == "B_zero":
+                    return t * math.sqrt(rho_c0_sq) * e1, e3 + 0.5 * e1
+                if key == "xi_dot_B_zero":
+                    return Bn * (t * e3 + math.sqrt(1.0 - t * t) * e1), 2.0 * e3
+                if key == "xi_cross_B_zero":
+                    return Bn * (math.sqrt(1.0 - t * t) * e3 + t * e1), -0.7 * e3
+                x = (1.0 + t) / (1.0 - t)  # (|B|^2 - rho c0^2) / (|B|^2 + rho c0^2) = t
+                return math.sqrt(x * rho_c0_sq) * e1, e3 + e1
+
+            for key in ("B_zero", "xi_dot_B_zero", "xi_cross_B_zero", "super", "sub"):
+                flags = []
+                for k in (1.0 - 1e-6, 1.0 + 1e-6):
+                    B, xi = field({"sub": -k}.get(key, k) * tol, key)
+                    st_k = dataclasses.replace(st, B=B)
+                    ref = _geometric_regime(st_k, gas, xi, tol)
+                    _, regime = classify(st_k, gas, xi, boundary=BoundaryFrame(axis=3),
+                                         tol_manifold=tol)
+                    assert dataclasses.asdict(regime) == ref, (key, k)
+                    flags.append(ref[key] if key in ref else ref["field_vs_sound"] == "equal")
+                assert flags == [True, False], key
+
+            # exactly on each manifold (with the axis frames, xi . B and
+            # xi x B are exactly zero too)
+            for B, xi in ((np.zeros(3), e3), (Bn * e1, e3), (Bn * e1, 2.0 * e1)):
+                st_k = dataclasses.replace(st, B=B)
+                _, regime = classify(st_k, gas, xi, boundary=BoundaryFrame(axis=3),
+                                     tol_manifold=tol)
+                assert dataclasses.asdict(regime) == _geometric_regime(st_k, gas, xi, tol)
+                assert not regime.near_manifold or tol > 1e-6
+            # |B|^2 = rho c0^2: whether |B|^2 - rho c0^2 rounds to zero, which
+            # near_manifold reports, depends on the order of evaluation
+            st_k = dataclasses.replace(st, B=math.sqrt(rho_c0_sq) * e1)
+            _, regime = classify(st_k, gas, e3 + e1, tol_manifold=tol)
+            ref = _geometric_regime(st_k, gas, e3 + e1, tol)
+            assert regime.field_vs_sound == "equal" and regime.case == "excluded"
+            assert ({**dataclasses.asdict(regime), "near_manifold": None}
+                    == {**ref, "near_manifold": None})
+
+
+def test_merged_roots_cluster_by_anchor_not_by_chain():
+    # the eight values -0.18, -0.12, ..., 0.18 are spaced 0.6 band apart: a
+    # cluster takes the values within one band of its smallest value, so
+    # the chain splits at every second gap rather than merging into one root
+    st = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0])
+    ws = WaveSpeeds(a=0.12, b=0.0, h=0.12, c0=1.0, c_s=0.06, c_f=0.18)
+    xi = np.array([0.0, 0.0, 1.0])
+    roots = _merged_roots(st, xi, 1.0, ws, tol_merge=0.1)  # band = 0.1
+    assert [r.multiplicity for r in roots] == [2, 3, 2, 1]
+    assert [r.families for r in roots] == [
+        ("alfven-", "fast-"), ("entropy", "slow-"), ("alfven+", "slow+"), ("fast+",)]
+    assert_allclose([r.lam for r in roots], [-0.15, -0.02, 0.09, 0.18], rtol=0, atol=1e-15)
+    # at a band of 0.37 every value is within one band of the smallest
+    assert [r.multiplicity for r in _merged_roots(st, xi, 1.0, ws, tol_merge=0.37)] == [8]
 
 
 # ----------------------------------------------------------------------------

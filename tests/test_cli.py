@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mhdstab.cli import main
+from mhdstab.cli import main, write_csv
 
 GAS = {"kind": "ideal-gas", "R": 1.0, "c_v": 1.5}
 SMALL_GRID = {"n_phi": 3, "n_sphere": 40, "equator_refine": 2}
@@ -64,6 +65,22 @@ def test_csv_numbers_round_trip(tmp_path):
     # 17 significant digits reproduce the doubles exactly
     assert float(row["rho"]) == 0.123456789012345678
     assert float(row["theta"]) == 3.7e-3
+
+
+def test_write_csv_formats_every_value_as_the_per_type_reference(tmp_path):
+    # floats to 17 significant digits, signed zero and non-finite values
+    # included, integers of either kind as str
+    rows = [[-0.0, float("nan"), float("inf"), -float("inf")],
+            [5e-324, 0.1 + 0.2, 7, np.int64(-123456789)],
+            [np.float64(1.0) / 3.0, np.float64(-2.5e300), 2**53 - 1, np.int64(0)]]
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["a", "b", "c", "d"], rows)
+
+    def ref(v):
+        return f"{float(v):.17g}" if isinstance(v, float) else str(v)
+
+    expected = "a,b,c,d\n" + "".join(",".join(map(ref, row)) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
 
 
 # ----------------------------------------------------------------------------
