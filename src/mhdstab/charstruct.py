@@ -217,6 +217,14 @@ def wave_speeds(state: ThermoState, eos: EquationOfState, xi) -> WaveSpeeds:
     )
 
 
+def _normal_speeds(state: ThermoState, eos: EquationOfState, d: int) -> np.ndarray:
+    """The eight eigenvalues of A_d = A(U, e_d) for a 1-based axis d:
+    u_d + (0, 0, -a, a, -c_s, c_s, -c_f, c_f), a = B_d / sqrt(rho)."""
+    ws = wave_speeds(state, eos, unit_vector(d))
+    return float(state.u[d - 1]) + np.array(
+        [0.0, 0.0, -ws.a, ws.a, -ws.c_s, ws.c_s, -ws.c_f, ws.c_f])
+
+
 def _speed_scale(ws: WaveSpeeds, state: ThermoState, sigma: float = 0.0) -> float:
     """The velocity scale max(c_f, |u|, |sigma|, 1) of the tolerances."""
     return max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
@@ -465,7 +473,7 @@ def _detect_regime(state: ThermoState, ws: WaveSpeeds, tol_manifold: float) -> R
     near = ((b_zero and Bn > 0.0)
             or (dot_zero and not b_zero and dot > 0.0)
             or (cross_zero and cross > 0.0)
-            or (equal and diff != 0.0))
+            or equal)
     return RegimeTag(
         xi_dot_B_zero=dot_zero,
         xi_cross_B_zero=cross_zero,

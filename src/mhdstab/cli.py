@@ -29,19 +29,19 @@ from .errors import ConfigError, MhdStabError
 from .lopatinski import (
     _GAP_FLOOR,
     _LAX_PATTERNS,
+    _Side,
     BoundaryFrequency,
     GasShockSpec,
     HemisphereGrid,
     PlanarShock,
     ScanResult,
-    assemble_G,
     b_to_zero_study,
     rankine_hugoniot,
     shock_scan,
     stable_subspace,
     uniform_scan,
 )
-from .symbol import assemble_tilde_symbol, boundary_matrix
+from .symbol import assemble_tilde_symbol
 from .thermo import EquationOfState, ThermoState, eos_from_dict
 
 SCHEMA_VERSION = 1
@@ -397,11 +397,8 @@ def _build_scan(cfg: dict, eos: EquationOfState, grid, scan_kwargs: dict) -> Sca
     elif kind == "frozen-complement":
         zf0 = _parse_zeta(_get(op_spec, "at", "boundary.operator"),
                           "boundary.operator.at")
-        tol_det = scan_kwargs["tol_det"]
-        # raises CharacteristicBoundary before A_d is inverted
-        G0 = assemble_G(state, eos, axis, zf0, tol_det=tol_det)
-        A_d, _ = boundary_matrix(state, eos, axis, tol_det=tol_det)
-        E0 = stable_subspace(G0, zf0.gamma_L, a_d_inv=np.linalg.inv(A_d),
+        side = _Side(state, eos, axis, scan_kwargs["tol_det"])
+        E0 = stable_subspace(side.G(zf0), zf0.gamma_L, a_d_inv=side.a_d_inv,
                              eps_cont=scan_kwargs["eps_cont"])
         M = E0.conj().T
     else:

@@ -26,7 +26,7 @@ class MissingBoundary(MhdStabError):
 
 
 class CharacteristicBoundary(MhdStabError):
-    """det A_d is below the noncharacteristic threshold."""
+    """An eigenvalue of A_d is within tol_det max |lambda(A_d)| of zero."""
 
 
 class SpectralSplitFailure(MhdStabError):

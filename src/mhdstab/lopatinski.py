@@ -33,10 +33,11 @@ Conventions, fixed once here and used consistently:
         x^H S applied to (tau - i gamma) x + eta . A_t x = mu s A_d x, the
         eigenproblem of s G (s = -1 on a shock's reflected upstream side,
         see below), gives Im mu = -gamma x^H S x / (s x^H S A_d x).
-        When s A_d^{-1} is definite, every root of s G thus has the sign of
-        Im mu the dimension requires and |Im mu| >= gamma min |lambda(s
-        A_d^{-1})|; rows where that bound clears the gap test need no
-        eigenvalues at all, the others count the signs of the roots.
+        The pencil (S A_d, S) has A_d's eigenvalues, all of one sign here,
+        so every root of s G has the sign of Im mu the dimension requires
+        and |Im mu| >= gamma / max |lambda(A_d)|; rows where that bound
+        clears the gap test need no eigenvalues at all, the others count
+        the signs of the roots.
       - dimension 1 to 7: E_minus is the orthogonal complement of the left
         eigenvectors at the 8 - dim roots with Im mu > 0, each in closed form
         through S: w = conj(S A_d x)/|S A_d x| for x a right null vector of
@@ -99,7 +100,7 @@ from .thermo import (
     eos_to_dict,
     eval_eos,
 )
-from .charstruct import _char_poly_factors, _polymul, wave_speeds
+from .charstruct import _char_poly_factors, _normal_speeds, _polymul, wave_speeds
 
 __all__ = [
     "BoundaryFrequency",
@@ -281,8 +282,8 @@ def assemble_G(state: ThermoState, eos: EquationOfState, d: int,
                zf: BoundaryFrequency, tol_det: float = 1e-10) -> np.ndarray:
     """Reduced ODE symbol G = A_d^{-1}((tau - i gamma_L) I + eta . A_t).
 
-    Raises CharacteristicBoundary when |det A_d| falls below the
-    scale-relative threshold.
+    Raises CharacteristicBoundary when an eigenvalue of A_d is within
+    tol_det max |lambda(A_d)| of zero (`boundary_matrix`).
     """
     return _Side(state, eos, d, tol_det).G(zf)
 
@@ -290,14 +291,15 @@ def assemble_G(state: ThermoState, eos: EquationOfState, d: int,
 class _Side:
     """One side's reduced symbol s G, kept as its three coefficients in zeta
     (s A_d^{-1} is also the continuation matrix), and dim = dim E_minus(s G),
-    the number of positive eigenvalues of s A_d.  s = -1 reflects a shock's
+    the number of positive eigenvalues of s A_d, counted on A_d's closed-form
+    spectrum (`charstruct._normal_speeds`).  s = -1 reflects a shock's
     upstream side.  The scan also takes the side's eigenvalues and left
     eigenvectors in closed form (`roots`, `left_vector`, `complement`),
-    certifies the vectors without forming s G (`certificate`) and, for a
-    definite side, takes the symmetrizer bound |Im mu| >= gamma * damping
-    (see `_evaluate`; damping is 0 elsewhere).  The stack of s G itself
-    (`G`) serves `assemble_G`, the per-point path and the scan's rows that
-    take the 8x8 `eigvals`."""
+    certifies the vectors without forming s G (`certificate`) and, at
+    dimension 0 or 8, takes the symmetrizer bound |Im mu| >= gamma * damping,
+    damping = 1 / max |lambda(A_d)| (see `_evaluate`; damping is 0
+    elsewhere).  The stack of s G itself (`G`) serves `assemble_G`, the
+    per-point path and the scan's rows that take the 8x8 `eigvals`."""
 
     def __init__(self, state: ThermoState, eos: EquationOfState, d: int,
                  tol_det: float, sign: float = 1.0, where: str = "boundary"):
@@ -308,10 +310,9 @@ class _Side:
         axes = _tangential_axes(d)
         self.a_t1, self.a_t2 = (
             self.a_d_inv @ assemble_full_symbol(state, eos, unit_vector(t)) for t in axes)
-        self.dim = int(np.sum(sign * np.linalg.eigvals(A_d).real > 0.0))
-        lam = np.linalg.eigvals(self.a_d_inv)
-        definite = self.dim in (0, 8) and np.all((lam.real > 0.0) == (self.dim == 8))
-        self.damping = float(np.abs(lam).min()) if definite else 0.0
+        lam = _normal_speeds(state, eos, d)
+        self.dim = int(np.count_nonzero(sign * lam > 0.0))
+        self.damping = 1.0 / float(np.abs(lam).max()) if self.dim in (0, 8) else 0.0
         # the constants of the dispersion relation, with b = B / sqrt(rho),
         # and of the eigenvectors: S A_d (symmetric) and kappa
         self.u, self.b = state.u, state.B / math.sqrt(state.rho)
@@ -335,17 +336,15 @@ class _Side:
         self.parts = parts.astype(complex)
         self.gram = parts.reshape(3, 64) @ parts.reshape(3, 64).T
         # `roots` solves the magnetoacoustic quartic in mu (for B = 0 the
-        # quadratic T - c0^2 S), whose leading coefficient is a factor of det
-        # A_d.  Near a characteristic boundary it cancels against the terms
-        # it is formed from, a root runs off towards infinity, and the closed
-        # form loses digits that the 8x8 eigenproblem of the stored G keeps
-        k, u_sq = self.c0_sq + self.h_sq, self.u_d**2
-        if self.h_sq == 0.0:
-            lead, terms = u_sq - self.c0_sq, u_sq + self.c0_sq
-        else:
-            lead = u_sq * u_sq - k * u_sq + self.c0_sq * self.b_d**2
-            terms = u_sq * u_sq + k * u_sq + self.c0_sq * self.b_d**2
-        self.closed_form = abs(lead) >= 1e-2 * terms
+        # quadratic T - c0^2 S), whose leading coefficient (u_d^2 -
+        # c_s^2)(u_d^2 - c_f^2), the product of the speeds u_d -+ c_s, u_d -+
+        # c_f, is a factor of det A_d.  Near a characteristic boundary it
+        # cancels against its terms (u_d^2 + c_s^2)(u_d^2 + c_f^2), from
+        # (u_d - c)^2 + (u_d + c)^2 = 2 (u_d^2 + c^2), a root runs off towards
+        # infinity, and the closed form loses digits that the 8x8 eigenproblem
+        # of the stored G keeps
+        lead, terms = np.prod(lam[4:]), np.prod(lam[4::2]**2 + lam[5::2]**2) / 4.0
+        self.closed_form = bool(abs(lead) >= 1e-2 * terms)
 
     def G(self, zf) -> np.ndarray:
         """s G at a BoundaryFrequency, or stacked at each row of an (N, 4) array."""
@@ -1206,19 +1205,13 @@ def _rh_residual(left_vec: np.ndarray, right_vec: np.ndarray,
 
 def _shock_flags(left: ThermoState, right: ThermoState, eos: EquationOfState,
                  axis: int, family: str) -> tuple[bool, bool]:
-    pattern = _LAX_PATTERNS.get(family)
-    counts = []
-    nonchar = True
-    for side in (left, right):
-        A_d = assemble_full_symbol(side, eos, unit_vector(axis))
-        evs = np.linalg.eigvals(A_d).real
-        scale = max(float(np.max(np.abs(evs))), 1e-30)
-        if float(np.min(np.abs(evs))) <= 1e-10 * scale:
-            nonchar = False
-        counts.append((int(np.sum(evs > 0.0)), int(np.sum(evs < 0.0))))
-    lax = (pattern is not None and nonchar
-           and counts[0][0] == pattern[0] and counts[1][1] == pattern[1])
-    return lax, nonchar
+    """(lax_valid, noncharacteristic): both sides pass `boundary_matrix`'s
+    test, and the family's Lax pattern counts the positive speeds upstream
+    and the negative ones downstream."""
+    nonchar = all(boundary_matrix(side, eos, axis)[1] for side in (left, right))
+    counts = (int(np.count_nonzero(_normal_speeds(left, eos, axis) > 0.0)),
+              int(np.count_nonzero(_normal_speeds(right, eos, axis) < 0.0)))
+    return nonchar and counts == _LAX_PATTERNS.get(family), nonchar
 
 
 def _gas_seed(upstream_vec: np.ndarray, eos: EquationOfState, axis: int,

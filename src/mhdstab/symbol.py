@@ -102,10 +102,12 @@ def boundary_matrix(state: ThermoState, eos: EquationOfState, d: int,
                     tol_det: float = 1e-10) -> tuple[np.ndarray, bool]:
     """Boundary symbol A_d = A(U, e_d) and a noncharacteristic flag.
 
-    The flag is |det A_d| > tol_det * ||A_d||_2^8, a scale-relative reading
-    of det A_d != 0.
+    The flag is min |lambda| > tol_det * max |lambda| over the eight
+    eigenvalues of A_d, taken in closed form (`charstruct._normal_speeds`):
+    det A_d != 0, read relative to the spectrum's own scale.
     """
-    A_d = assemble_full_symbol(state, eos, unit_vector(d))
-    scale = np.linalg.norm(A_d, 2) ** 8
-    flag = bool(abs(np.linalg.det(A_d)) > tol_det * scale)
-    return A_d, flag
+    from .charstruct import _normal_speeds  # charstruct imports this module
+
+    speed = np.abs(_normal_speeds(state, eos, d))
+    return (assemble_full_symbol(state, eos, unit_vector(d)),
+            bool(speed.min() > tol_det * speed.max()))

@@ -374,6 +374,22 @@ def test_classify_near_manifold_flag(gas):
     assert regime.case == "a" and not regime.near_manifold
 
 
+def test_every_point_on_the_field_sound_manifold_is_near_it(gas):
+    # |B|^2 = rho c0^2 up to rounding: whether |B|^2 - rho c0^2 rounds to
+    # exactly zero is no property of the state, so near_manifold reads True
+    # on every such point, as on every "equal" point
+    rng = np.random.default_rng(53)
+    for _ in range(3000):
+        rho, theta = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        b_hat = rng.standard_normal(3)
+        st = ThermoState(rho=rho, u=rng.uniform(-1.0, 1.0, 3), theta=theta)
+        st = dataclasses.replace(st, B=math.sqrt(rho * sound_speed_sq(gas, st))
+                                 * b_hat / np.linalg.norm(b_hat))
+        _, regime = classify(st, gas, rng.standard_normal(3))
+        assert regime.field_vs_sound == "equal" and regime.case == "excluded"
+        assert regime.near_manifold
+
+
 def test_classify_invariant_under_rotation_and_scaling(gas):
     rng = np.random.default_rng(39)
 

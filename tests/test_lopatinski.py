@@ -19,7 +19,7 @@ from mhdstab.errors import (
 )
 from mhdstab.thermo import ThermoState, eval_eos, sound_speed_sq
 from mhdstab.symbol import assemble_full_symbol, boundary_matrix, unit_vector
-from mhdstab.charstruct import wave_speeds
+from mhdstab.charstruct import _normal_speeds, wave_speeds
 from mhdstab.lopatinski import (
     BoundaryFrequency,
     BoundaryOperator,
@@ -42,6 +42,7 @@ from mhdstab.lopatinski import (
 )
 from mhdstab.lopatinski import (
     _CHUNK,
+    _LAX_PATTERNS,
     _ScanProblem,
     _Side,
     _evaluate,
@@ -562,6 +563,37 @@ def test_shock_scan_rejects_characteristic_front(gas):
     sh = rankine_hugoniot(gas, up, family="fast", mach=1.0, d=3)
     with pytest.raises(CharacteristicBoundary):
         shock_scan(sh, HemisphereGrid(n_phi=2, n_sphere=8, equator_refine=1))
+
+
+def test_every_lax_shock_builds_its_scan_problem(gas):
+    # rankine_hugoniot's noncharacteristic flag is the test the scan's sides
+    # apply, so every shock it returns builds at the default tol_det, with
+    # the dimensions of its Lax pattern: the downstream side's dim E_minus
+    # counts its positive speeds, 8 - pattern[1], and the reflected upstream
+    # side's its negative ones, 8 - pattern[0].  The fast shocks are drawn
+    # far from the unit scale; the slow shock is the one of the probed slow
+    # cases that builds (see test_slow_shock_builds_and_scans_as_the_oracle).
+    rng = np.random.default_rng(29)
+    shocks = []
+    for _ in range(420):
+        rho, theta = 10.0 ** rng.uniform(-1.5, 1.5, 2)
+        up = ThermoState(rho=rho, u=rng.uniform(-3.0, 3.0, 3), theta=theta,
+                         B=rng.uniform(-2.0, 2.0, 3))
+        try:
+            shocks.append(rankine_hugoniot(gas, up, family="fast", mach=rng.uniform(1.2, 4.0),
+                                           d=int(rng.integers(1, 4))))
+        except NoAdmissibleShock:
+            pass
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, 0.0, 1.5])
+    shocks.append(rankine_hugoniot(gas, up, family="slow", mach=1.1, d=3))
+    assert len(shocks) >= 400
+    for sh in shocks:
+        assert sh.lax_valid and sh.noncharacteristic
+        up_positive, down_negative = _LAX_PATTERNS[sh.lax_family]
+        dims = [side.dim for side in _shock_problem(sh, 1e-10).sides]
+        assert dims == [8 - down_negative, 8 - up_positive], sh.to_dict()
+        d = sh.axis
+        assert dims == [n_positive(sh.right, gas, d), 8 - n_positive(sh.left, gas, d)]
 
 
 def _mixed_grid(n, seed):
@@ -1537,3 +1569,54 @@ def test_batched_scan_matches_per_point_path_on_random_problems(gas):
     for label in sorted(tally):
         cases, rows, fallback, failed = tally[label]
         print(f"  {label}: {cases} problems, {rows} rows, {fallback} per point, {failed} failed")
+
+
+def _near_characteristic_state(rng, gas, d, family, ratio):
+    """A state of field level 1 whose A_d has the root of `family` (entropy,
+    alfven, slow or fast) at min |lambda| = ratio * max |lambda|, on a
+    random side of zero: u_d = +-(c + delta), c the family's speed."""
+    st = _random_field_state(rng, gas, d, 1.0)
+    ws = wave_speeds(st, gas, unit_vector(d))
+    c = {"entropy": 0.0, "alfven": abs(ws.a), "slow": ws.c_s, "fast": ws.c_f}[family]
+    u = st.u.copy()
+    u[d - 1] = rng.choice([-1.0, 1.0]) * (c + ratio * (c + ws.c_f) / (1.0 - ratio))
+    st = dataclasses.replace(st, u=u)
+    lam = np.abs(_normal_speeds(st, gas, d))
+    assert_allclose(lam.min() / lam.max(), ratio, rtol=1e-6)
+    return st
+
+
+def test_batched_scan_matches_per_point_path_near_characteristic_sides(gas):
+    # sides with min |lambda(A_d)| / max |lambda(A_d)| of 1e-3, 1e-6 and
+    # 1e-9 at each wave family's root, which the eigenvalue-relative test
+    # admits: on every row the batch's |D| equals the per-point path's within
+    # the random-problem bound (a row the batch cannot certify goes per point
+    # and is equal), and the failures match.  The per-point rows per family
+    # and ratio are printed.
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    kinds = itertools.cycle(("real", "complex", "callable"))
+    print()
+    for i, (family, ratio) in enumerate(itertools.product(
+            ("entropy", "alfven", "slow", "fast"), (1e-3, 1e-6, 1e-9))):
+        d = 1 + i % 3
+        st = _near_characteristic_state(rng, gas, d, family, ratio)
+        dim = int(np.count_nonzero(_normal_speeds(st, gas, d) > 0.0))
+        problem = _one_sided_problem(st, gas, d, _random_operator(rng, dim, next(kinds)), 1e-10)
+        P = np.concatenate([_mixed_grid(24, int(rng.integers(2**31)))._rows(),
+                            _near_glancing_rows(problem.sides[0], rng)])
+        grid = ExplicitGrid([_frequency(row) for row in P])
+        res = _scan(problem, grid, 1e-6, polish_rounds=0)
+        expected, bounds, failures = [], [], []
+        for j, zf in enumerate(grid.points()):
+            try:
+                expected.append(_point_abs_D(problem, zf, 1e-6))
+                bounds.append(max(1e-12, 10.0 * eps * _split_condition(problem, P[j], 1e-6)))
+            except MhdStabError as exc:
+                failures.append((j, type(exc).__name__, str(exc)))
+        label = (family, ratio, dim)
+        assert _failure_list(res) == failures, label
+        error = np.abs(np.array([row[4] for row in res.rows]) - expected)
+        assert np.all(error <= bounds), (label, error.max(), P[np.argmax(error / bounds)])
+        print(f"  {family} {ratio:g} side {dim}: {len(P)} rows, {res.n_fallback} per point, "
+              f"{len(failures)} failed")

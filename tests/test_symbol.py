@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mhdstab.thermo import ThermoState, eval_eos
+from mhdstab.charstruct import wave_speeds
+from mhdstab.thermo import ThermoState, eval_eos, sound_speed_sq
 from mhdstab.symbol import (
     assemble_full_symbol,
     assemble_tilde_symbol,
@@ -200,3 +204,30 @@ def test_boundary_matrix_validates_axis(gas):
         boundary_matrix(st, gas, 4)
     with pytest.raises(ValueError):
         unit_vector(0)
+
+
+def test_noncharacteristic_flag_is_the_eigenvalue_ratio(gas):
+    # the flag is min |lambda(A_d)| > tol_det max |lambda(A_d)|, with the
+    # eigenvalues from the 8x8 solver here: on random states, and on states
+    # with |B|^2 = rho c0^2 and rho, theta log-uniform in [0.1, 10], where a
+    # test of det A_d against ||A_d||_2^8 rejected boundaries whose
+    # eigenvalue ratio reached 0.23 (||A_d||_2 grows with rho and 1/rho)
+    rng = np.random.default_rng(47)
+    for k in range(600):
+        rho, theta = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        st = ThermoState(rho=rho, u=rng.uniform(-3.0, 3.0, 3), theta=theta)
+        b_hat = rng.standard_normal(3)
+        B = (math.sqrt(rho * sound_speed_sq(gas, st)) * b_hat / np.linalg.norm(b_hat)
+             if k % 2 else rng.uniform(-2.0, 2.0, 3))
+        st, d = dataclasses.replace(st, B=B), int(rng.integers(1, 4))
+        for tol in (1e-10, 1e-3):
+            A_d, flag = boundary_matrix(st, gas, d, tol_det=tol)
+            lam = np.abs(np.linalg.eigvals(A_d))
+            assert flag == (lam.min() > tol * lam.max()), (st, d, tol, lam.min() / lam.max())
+    # u_d = 0 and u_d on a wave speed, sonic at B = 0, stay characteristic
+    for B in ([0.3, -0.2, 0.7], [0.0, 0.0, 0.0]):
+        st = ThermoState(rho=2.0, u=[0.4, -0.3, 0.0], theta=0.6, B=B)
+        ws = wave_speeds(st, gas, unit_vector(3))
+        for u_d in (0.0, ws.a, -ws.a, ws.c_s, -ws.c_s, ws.c_f, -ws.c_f):
+            u = np.array([0.4, -0.3, u_d])
+            assert not boundary_matrix(dataclasses.replace(st, u=u), gas, 3)[1], (B, u_d)
