@@ -225,6 +225,14 @@ def _normal_speeds(state: ThermoState, eos: EquationOfState, d: int) -> np.ndarr
         [0.0, 0.0, -ws.a, ws.a, -ws.c_s, ws.c_s, -ws.c_f, ws.c_f])
 
 
+def _noncharacteristic(lam: np.ndarray, tol_det: float) -> bool:
+    """min |lambda| > tol_det * max |lambda| over A_d's eigenvalues lam
+    (`_normal_speeds`): det A_d != 0, read relative to the spectrum's own
+    scale."""
+    speed = np.abs(lam)
+    return bool(speed.min() > tol_det * speed.max())
+
+
 def _speed_scale(ws: WaveSpeeds, state: ThermoState, sigma: float = 0.0) -> float:
     """The velocity scale max(c_f, |u|, |sigma|, 1) of the tolerances."""
     return max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)

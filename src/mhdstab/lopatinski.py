@@ -25,9 +25,9 @@ Conventions, fixed once here and used consistently:
     dispersion polynomial of `charstruct._char_poly_factors` at a complex
     xi, that is an entropy double and an Alfven pair linear in mu and a
     magnetoacoustic quartic, solved by Ferrari and polished by Newton
-    (`_Side.roots`).  A row whose roots cannot be trusted, and every row
-    of a side close to a characteristic boundary, takes the 8x8 `eigvals`
-    instead.
+    (`_Side.roots`).  A row whose roots `_Side.roots` does not vouch for,
+    and every row of a side close to a characteristic boundary that needs
+    its roots, takes the per-point path instead.
       - dimension 0 or 8 (a fast shock's upstream side, supersonic inflow):
         the Friedrichs symmetrizer S > 0 makes every S A_j symmetric, so
         x^H S applied to (tau - i gamma) x + eta . A_t x = mu s A_d x, the
@@ -45,8 +45,8 @@ Conventions, fixed once here and used consistently:
         Each is certified by its residual |w^H G - mu w^H| <= 5e-14 |G|_F,
         with w^H G = (tau - i gamma) w^H A_d^{-1} + eta1 w^H A_d^{-1} A_t1 +
         eta2 w^H A_d^{-1} A_t2 from three 8-vector products and |G|_F from
-        a 3x3 Gram form (`_Side.certificate`), so a scan builds the stack of
-        G only for the rows that take `eigvals`.
+        a 3x3 Gram form (`_Side.certificate`), so no scan row builds the
+        stack of G.
     With W the orthonormal complements of the sides side by side, [E W] is
     unitary, so |D| = |det(W^H K)| / sqrt(det(K^H K)), an (8 sides -
     p)-square determinant: for a fast shock, or a constant operator on a
@@ -90,7 +90,7 @@ from .errors import (
     RankDeficiency,
     SpectralSplitFailure,
 )
-from .symbol import assemble_full_symbol, boundary_matrix, symmetrizer, unit_vector
+from .symbol import assemble_full_symbol, symmetrizer, unit_vector
 from .thermo import (
     EquationOfState,
     ThermoState,
@@ -100,7 +100,8 @@ from .thermo import (
     eos_to_dict,
     eval_eos,
 )
-from .charstruct import _char_poly_factors, _normal_speeds, _polymul, wave_speeds
+from .charstruct import (_char_poly_factors, _noncharacteristic, _normal_speeds, _polymul,
+                         wave_speeds)
 
 __all__ = [
     "BoundaryFrequency",
@@ -298,19 +299,19 @@ class _Side:
     certifies the vectors without forming s G (`certificate`) and, at
     dimension 0 or 8, takes the symmetrizer bound |Im mu| >= gamma * damping,
     damping = 1 / max |lambda(A_d)| (see `_evaluate`; damping is 0
-    elsewhere).  The stack of s G itself (`G`) serves `assemble_G`, the
-    per-point path and the scan's rows that take the 8x8 `eigvals`."""
+    elsewhere).  s G itself (`G`) serves `assemble_G` and the per-point
+    path, at one point each."""
 
     def __init__(self, state: ThermoState, eos: EquationOfState, d: int,
                  tol_det: float, sign: float = 1.0, where: str = "boundary"):
-        A_d, ok = boundary_matrix(state, eos, d, tol_det=tol_det)
-        if not ok:
+        lam = _normal_speeds(state, eos, d)
+        if not _noncharacteristic(lam, tol_det):
             raise CharacteristicBoundary(f"{where} x_{d} = const is characteristic")
+        A_d = assemble_full_symbol(state, eos, unit_vector(d))
         self.a_d_inv = sign * np.linalg.inv(A_d)
         axes = _tangential_axes(d)
         self.a_t1, self.a_t2 = (
             self.a_d_inv @ assemble_full_symbol(state, eos, unit_vector(t)) for t in axes)
-        lam = _normal_speeds(state, eos, d)
         self.dim = int(np.count_nonzero(sign * lam > 0.0))
         self.damping = 1.0 / float(np.abs(lam).max()) if self.dim in (0, 8) else 0.0
         # the constants of the dispersion relation, with b = B / sqrt(rho),
@@ -341,8 +342,8 @@ class _Side:
         # c_f, is a factor of det A_d.  Near a characteristic boundary it
         # cancels against its terms (u_d^2 + c_s^2)(u_d^2 + c_f^2), from
         # (u_d - c)^2 + (u_d + c)^2 = 2 (u_d^2 + c^2), a root runs off towards
-        # infinity, and the closed form loses digits that the 8x8 eigenproblem
-        # of the stored G keeps
+        # infinity, and the closed form loses digits; the scan sends such a
+        # side's rows to the per-point path
         lead, terms = np.prod(lam[4:]), np.prod(lam[4::2]**2 + lam[5::2]**2) / 4.0
         self.closed_form = bool(abs(lead) >= 1e-2 * terms)
 
@@ -485,20 +486,19 @@ class _Side:
         return residual, np.sqrt(np.sum(x * (x @ self.gram), axis=1)
                                  + gamma * gamma * self.gram[0, 0])
 
-    def complement(self, P: np.ndarray, gamma: np.ndarray, mu: np.ndarray,
-                   exact: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def complement(self, P: np.ndarray, gamma: np.ndarray,
+                   mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(W^H, ok): W orthonormal, spanning the left vectors of s G at each
         row (tau, ., eta1, eta2) of P with the damping gamma, at its 8 - dim
         roots with Im mu > 0 (the unstable linear columns, then the quartic
-        ones of largest Im), so E_minus = W^perp.  mu is from `roots` on the
-        exact rows, else eigvals by increasing Im, ok only if no linear root
-        is unstable.  ok fails where a residual |w^H G - mu w^H| exceeds
-        5e-14 |G|_F (about 200 rounding units) or 1e-12 times the gap between
-        its root and the nearest stable one, or, for several vectors, their
-        QR has min r_ii < 1e-6 max r_ii (see `certificate`).  The residual
-        over the gap is the first-order error the vector brings into the
-        span, and so into |D|; near a glancing point, where a stable and an
-        unstable root crowd, it grows past the residual itself."""
+        ones of largest Im), so E_minus = W^perp, for mu from `roots`.  ok
+        fails where a residual |w^H G - mu w^H| exceeds 5e-14 |G|_F (about
+        200 rounding units) or 1e-12 times the gap between its root and the
+        nearest stable one, or, for several vectors, their QR has min r_ii <
+        1e-6 max r_ii (see `certificate`).  The residual over the gap is the
+        first-order error the vector brings into the span, and so into |D|;
+        near a glancing point, where a stable and an unstable root crowd, it
+        grows past the residual itself."""
         lin, n = self.unstable_linear, self.n_linear
         rows = np.arange(len(mu))[:, None]
         top = n + np.argsort(-mu[:, n:].imag, axis=1, kind="stable")[:, :8 - self.dim - len(lin)]
@@ -511,7 +511,7 @@ class _Side:
         stable[rows, top] = False
         gap = np.where(stable[:, None, :], np.abs(nu[:, :, None] - mu[:, None, :]), np.inf)
         bound = np.minimum(5e-14 * g_norm[:, None], 1e-12 * gap.min(axis=2))
-        ok = (exact | (len(lin) == 0)) & np.all(residual <= bound, axis=1)
+        ok = np.all(residual <= bound, axis=1)
         # a failed row keeps a stand-in
         wh = np.where(ok[:, None, None], wh, 8.0 ** -0.5)
         if wh.shape[1] > 1:
@@ -762,7 +762,7 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
 # (tracemalloc) at about 1.2 KB per row on a side with one left vector (a
 # fast shock, a dimension-7 inflow), 5 KB on a dimension-1 outflow and 6.5
 # KB on a slow shock (5 + 2), the worst measured side, so a chunk peaks at
-# about 6.5 MiB; no row builds its 1 KB s G unless it takes `eigvals`.  By
+# about 6.5 MiB; no row builds its 1 KB s G.  By
 # 1024 rows the per-call cost is spread thin on every measured side.
 # OpenBLAS rounds some rows differently in stacks of 4096, which moves |D|
 # in the 16th digit on the shipped configs.
@@ -849,18 +849,18 @@ def _evaluate(problem: _ScanProblem, kernel, P: np.ndarray,
 
     Each side's s G carries the damping gamma: the row's gamma_L, or
     eps_cont at continuation rows.  Per side, with the roots mu of
-    `_Side.roots` where they are trusted and of the 8x8 `eigvals`
-    elsewhere, `_abs_det` takes E_minus as the rows W^H of an orthonormal
-    basis W of its complement: `_Side.complement` at dimension 1 to 7; W =
-    I or none at dimension 0 or 8, where a row whose symmetrizer bound
-    |Im mu| >= gamma * damping (module docstring) clears the gap test twice
-    over needs no eigenvalues and the other rows count the signs of mu.
-    Only the rows that take `eigvals` build the stack of s G.  ker M comes
-    from `kernel` (`_scan_kernel`).
-    A row goes to `_point_abs_D` when a count is wrong, min |Im mu| <
-    `_GAP_FLOOR`, `complement` does not certify it, `kernel` does not vouch
-    for it, or ker M has other than 8 sides - dim E_minus dimensions; so
-    failures come from there.
+    `_Side.roots`, `_abs_det` takes E_minus as the rows W^H of an
+    orthonormal basis W of its complement: `_Side.complement` at dimension
+    1 to 7; W = I or none at dimension 0 or 8, where a row whose
+    symmetrizer bound |Im mu| >= gamma * damping (module docstring) clears
+    the gap test twice over needs no eigenvalues and the other rows count
+    the signs of mu.  No row builds the stack of s G.  ker M comes from
+    `kernel` (`_scan_kernel`).
+    A row goes to `_point_abs_D` when it needs its roots and the side is
+    not `closed_form` or `roots` does not vouch for them, when a count is
+    wrong, min |Im mu| < `_GAP_FLOOR`, `complement` does not certify it,
+    `kernel` does not vouch for it, or ker M has other than 8 sides - dim
+    E_minus dimensions; so failures come from there.
     """
     cont = P[:, 1] <= 1e-8  # as in stable_subspace
     gamma = np.where(cont, eps_cont, P[:, 1])
@@ -870,21 +870,17 @@ def _evaluate(problem: _ScanProblem, kernel, P: np.ndarray,
         # rows whose split needs eigenvalues; the factor 2 covers the rounding
         # of the bound and of the eigenvalues
         need = gamma * side.damping < 2.0 * _GAP_FLOOR
-        W_h = np.eye(8)[side.dim:]  # the complement's rows at dimension 0 or 8
-        if need.any():
-            n_need = np.count_nonzero(need)
-            mu, exact = (side.roots(P[need], gamma[need]) if side.closed_form
-                         else (np.empty((n_need, 8), dtype=complex), np.zeros(n_need, dtype=bool)))
-            if not exact.all():
-                # only these rows build s G, shifted at continuation rows
-                rows = np.flatnonzero(need)[~exact]
-                G = side.G(P[rows]) - (1j * (gamma - P[:, 1]))[rows, None, None] * side.a_d_inv
-                lam = np.linalg.eigvals(G)
-                mu[~exact] = np.take_along_axis(lam, np.argsort(lam.imag, axis=1), axis=1)
+        # the complement's rows at dimension 0 or 8, and the stand-in of a
+        # side whose rows all go per point
+        W_h = np.eye(8)[side.dim:]
+        if not side.closed_form:
+            trusted &= ~need
+        elif need.any():
+            mu, ok = side.roots(P[need], gamma[need])
             if 0 < side.dim < 8:  # damping 0: every row is needed
-                W_h, ok = side.complement(P, gamma, mu, exact)
-                trusted &= ok
-            trusted[need] &= ((np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
+                W_h, certified = side.complement(P, gamma, mu)
+                ok &= certified
+            trusted[need] &= (ok & (np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
                               & (np.abs(mu.imag).min(axis=1) >= _GAP_FLOOR))
         bases.append(W_h)
     K, scale, ok = kernel(P)
@@ -1206,11 +1202,12 @@ def _rh_residual(left_vec: np.ndarray, right_vec: np.ndarray,
 def _shock_flags(left: ThermoState, right: ThermoState, eos: EquationOfState,
                  axis: int, family: str) -> tuple[bool, bool]:
     """(lax_valid, noncharacteristic): both sides pass `boundary_matrix`'s
-    test, and the family's Lax pattern counts the positive speeds upstream
-    and the negative ones downstream."""
-    nonchar = all(boundary_matrix(side, eos, axis)[1] for side in (left, right))
-    counts = (int(np.count_nonzero(_normal_speeds(left, eos, axis) > 0.0)),
-              int(np.count_nonzero(_normal_speeds(right, eos, axis) < 0.0)))
+    test at its default tol_det (`charstruct._noncharacteristic`), and the
+    family's Lax pattern counts the positive speeds upstream and the
+    negative ones downstream."""
+    lam_left, lam_right = (_normal_speeds(side, eos, axis) for side in (left, right))
+    nonchar = all(_noncharacteristic(lam, 1e-10) for lam in (lam_left, lam_right))
+    counts = (int(np.count_nonzero(lam_left > 0.0)), int(np.count_nonzero(lam_right < 0.0)))
     return nonchar and counts == _LAX_PATTERNS.get(family), nonchar
 
 

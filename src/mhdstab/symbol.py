@@ -103,11 +103,11 @@ def boundary_matrix(state: ThermoState, eos: EquationOfState, d: int,
     """Boundary symbol A_d = A(U, e_d) and a noncharacteristic flag.
 
     The flag is min |lambda| > tol_det * max |lambda| over the eight
-    eigenvalues of A_d, taken in closed form (`charstruct._normal_speeds`):
-    det A_d != 0, read relative to the spectrum's own scale.
+    eigenvalues of A_d, taken in closed form (`charstruct._normal_speeds`,
+    `charstruct._noncharacteristic`): det A_d != 0, read relative to the
+    spectrum's own scale.
     """
-    from .charstruct import _normal_speeds  # charstruct imports this module
+    from .charstruct import _noncharacteristic, _normal_speeds  # charstruct imports this module
 
-    speed = np.abs(_normal_speeds(state, eos, d))
     return (assemble_full_symbol(state, eos, unit_vector(d)),
-            bool(speed.min() > tol_det * speed.max()))
+            _noncharacteristic(_normal_speeds(state, eos, d), tol_det))

@@ -53,6 +53,7 @@ from mhdstab.lopatinski import (
     _scan,
     _scan_kernel,
     _shock_problem,
+    _tangential_axes,
 )
 
 from conftest import random_state
@@ -652,8 +653,9 @@ def test_scan_flags_unsigned_upstream_continuation(gas):
     # takes its splitting from gamma_L < 0; the dimension check must turn
     # that into per-point failures, not a wrong |D|.  The upstream side keeps
     # its G but continues along -A_d^{-1}; without the symmetrizer bound and
-    # the closed-form roots (both of the signed side) every row counts the
-    # eigenvalues of its shifted G.
+    # the closed-form roots (both of the signed side) every row takes the
+    # per-point path, which is exact at the interior rows, where no row
+    # shifts.
     up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0])
     sh = rankine_hugoniot(gas, up, family="fast", mach=2.0, d=3)
     grid = _mixed_grid(30, 62)
@@ -669,7 +671,9 @@ def test_scan_flags_unsigned_upstream_continuation(gas):
     assert not good.failures
     assert {f["index"] for f in bad.failures} == equator
     assert {f["type"] for f in bad.failures} == {"SpectralSplitFailure"}
-    assert bad.rows == [row for row in good.rows if row[1] > 0.0]
+    reference = _shock_problem(sh, 1e-10)
+    assert bad.rows == [(*row[:4], _point_abs_D(reference, _frequency(np.array(row[:4])), 1e-6),
+                         row[5]) for row in good.rows if row[1] > 0.0]
 
 
 def test_shock_scan_invariant_under_axis_relabelling(gas):
@@ -979,10 +983,8 @@ def test_fast_shock_and_constant_operator_scans_take_no_stacked_det_or_svd(gas, 
 def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
     # a 2x2 Jordan block inside a 3-dimensional E_minus, put on the outflow
     # side (dimension 3) in place of its G, with A_d^{-1} = I so that the
-    # continuation shift keeps the invariant subspaces: the eigenvalues come
-    # from the 8x8 eigvals, so the closed-form left vectors at the side's
-    # unstable linear roots cannot be certified, and every row takes the
-    # Schur path
+    # continuation shift keeps the invariant subspaces: the side does not
+    # take the closed form, so every row takes the per-point Schur path
     rng = np.random.default_rng(73)
     S = rng.standard_normal((8, 8))
     J = np.diag([-1j, -1j, -2j, 1j, 2j, 3j, 4j, 5j])
@@ -1214,9 +1216,10 @@ def test_closed_form_left_vector_matches_eig_left(gas):
     # orthogonal complement of the Schur reference's E_minus (not compared
     # one by one: at small |B| the entropy, Alfven and slow roots lie within
     # 3e-12 of one another).  On a side without an unstable linear root the
-    # scan also takes the rows with untrusted roots, at the top roots of the
-    # 8x8 eigvals, all magnetoacoustic: their vectors pass the residual test
-    # (a dimension-7 inflow at tangential |B| = 1e-5 has such rows)
+    # magnetoacoustic vector also holds at the rows whose closed-form roots
+    # are not trusted, which the scan sends per point: at the top roots of
+    # the 8x8 eigvals, all magnetoacoustic, the vectors pass the residual
+    # test (a dimension-7 inflow at tangential |B| = 1e-5 has such rows)
     P, gamma, sides = _closed_form_cases(gas)
     sides.append(_Side(ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[1e-5, 0, 0]),
                        gas, 3, 1e-10))
@@ -1257,10 +1260,10 @@ def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
     # some rows Ferrari and two Newton steps do not vouch for the slow
     # roots; B along the normal: xi.b has no eta term, and at eta = 0 the
     # Alfven pair also solves the quartic; an inflow 0.1% below the fast
-    # speed: the quartic's leading coefficient cancels, so the side keeps
-    # the 8x8 eigvals.  Every row the closed form does not vouch for takes
-    # the 8x8 eigvals (or then the per-point path), and |D| matches the
-    # oracle.
+    # speed: the quartic's leading coefficient cancels, so the side does
+    # not take the closed form.  Every row the closed form does not vouch
+    # for, and every row of that side, takes the per-point path, no row
+    # takes an 8x8 eigvals, and |D| matches the oracle.
     c_f = wave_speeds(SUBSONIC_STATE, gas, [0.0, 0.0, 1.0]).c_f
     states = {
         "B = 0": ThermoState(rho=1.0, u=[0.2, -0.1, 0.9], theta=1.0, B=[0, 0, 0]),
@@ -1283,7 +1286,8 @@ def test_degenerate_dispersion_structures_take_a_trusted_path(gas, monkeypatch):
         res = _scan(problem, grid, 1e-6, polish_rounds=0)
         monkeypatch.undo()
         assert rows["eig"] == 0
-        assert rows["eigvals"] == (rows["untrusted"] if side.closed_form else grid.n_points)
+        assert rows["eigvals"] == 0
+        assert res.n_fallback == (rows["untrusted"] if side.closed_form else grid.n_points)
         assert (rows["untrusted"] > 0) == (name == "B -> 0")
         assert len(fallbacks) == res.n_fallback
         want, failures = _oracle(gas, [(st, 1.0)], 3, problem.operator, grid)
@@ -1352,8 +1356,9 @@ def _count_G_rows(monkeypatch):
 def test_scan_builds_G_only_for_eigvals_rows(gas, monkeypatch):
     # a fast-shock scan and a frozen-complement scan trust every closed-form
     # root, so no row builds s G; on the dimension-7 inflow at tangential |B|
-    # = 1e-5, the 8 rows of the roots test whose roots are not trusted build
-    # it for the 8x8 eigvals, and no other row does
+    # = 1e-5, the 8 rows of the roots test whose roots are not trusted go to
+    # the per-point path, and no row builds the stack of s G or takes an 8x8
+    # eigvals
     grid = HemisphereGrid(2, 40, 2)
     sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
                           family="fast", mach=2.0, d=3)
@@ -1374,8 +1379,9 @@ def test_scan_builds_G_only_for_eigvals_rows(gas, monkeypatch):
     res = uniform_scan(st, gas, 3, M, ExplicitGrid([BoundaryFrequency(*p[:2], p[2:]) for p in P]),
                        polish_rounds=0)
     monkeypatch.undo()
-    assert not res.failures and res.n_fallback == 0
-    assert sum(G_rows) == rows["eigvals"] == rows["untrusted"] == 8
+    assert not res.failures
+    assert res.n_fallback == rows["untrusted"] == 8
+    assert sum(G_rows) == rows["eigvals"] == 0
 
 
 def test_scan_does_not_depend_on_the_chunk(gas, monkeypatch):
@@ -1465,8 +1471,10 @@ def _near_glancing_rows(side, rng):
     return np.array(rows).reshape(-1, 4)
 
 
-def _random_operator(rng, p, kind):
-    M0, M1 = rng.standard_normal((2, p, 8))
+def _random_operator(rng, p, kind, perm=slice(None)):
+    """A real, complex or callable (tau-dependent) p x 8 operator, its
+    columns taken in the order perm."""
+    M0, M1 = rng.standard_normal((2, p, 8))[..., perm]
     if kind == "real":
         return M0
     if kind == "complex":
@@ -1474,7 +1482,26 @@ def _random_operator(rng, p, kind):
     return BoundaryOperator(lambda zf: M0 + 1j * zf.tau * M1, n=8, p=p)
 
 
-def _random_problems(gas, rng):
+def _axis_permutation(d, d_new):
+    """perm with U'[j] = U[perm[j]]: the unknowns with the (normal, t1, t2)
+    components of u and B along axis d moved to those along d_new (t1 < t2
+    the tangential axes, so d_new = 2 from d = 1 or 3 reflects the pair)."""
+    perm = np.arange(8)
+    for a, b in zip((d, *_tangential_axes(d)), (d_new, *_tangential_axes(d_new))):
+        perm[[b, 4 + b]] = a, 4 + a
+    return perm
+
+
+def _relabelled(state, perm):
+    return ThermoState.from_array(state.as_array()[perm])
+
+
+def _relabelled_shock(shock, perm, d_new):
+    return dataclasses.replace(shock, left=_relabelled(shock.left, perm),
+                               right=_relabelled(shock.right, perm), axis=d_new)
+
+
+def _random_problems(gas, rng, shift=0):
     """(label, problem) pairs: one-sided problems for every axis d, every
     field level |B| / sqrt(rho c0^2) in {0, 1e-4, 1e-2, 1} and every side
     dimension the level allows (all of 0-3 and 5-8 at level 1; at the small
@@ -1482,7 +1509,10 @@ def _random_problems(gas, rng):
     characteristic boundary), each with a real, complex or callable
     operator in turn, and a fast shock per axis and level.  A draw with a
     characteristic side, which the scan does not take, is drawn again; the
-    redraws are counted under "redrawn"."""
+    redraws are counted under "redrawn".  With shift k every problem drawn
+    for the normal d is built relabelled to the normal 1 + (d - 1 + k) % 3
+    (`_axis_permutation`: its states, shock and operator columns), from the
+    same draws."""
     kinds = itertools.cycle(("real", "complex", "callable"))
     problems, redrawn = [], 0
 
@@ -1495,15 +1525,19 @@ def _random_problems(gas, rng):
                 redrawn += 1
 
     for d in (1, 2, 3):
+        d_new = 1 + (d - 1 + shift) % 3
+        perm = _axis_permutation(d, d_new)
         for level in (0.0, 1e-4, 1e-2, 1.0):
             for dim in (0, 1, 2, 3, 5, 6, 7, 8) if level == 1.0 else (0, 1, 7, 8):
-                M = _random_operator(rng, dim, next(kinds))
+                M = _random_operator(rng, dim, next(kinds), perm)
                 problems.append((f"side {dim}", noncharacteristic(lambda: _one_sided_problem(
-                    _with_side_dimension(_random_field_state(rng, gas, d, level), gas, d, dim, rng),
-                    gas, d, M, 1e-10))))
+                    _relabelled(_with_side_dimension(_random_field_state(rng, gas, d, level),
+                                                     gas, d, dim, rng), perm),
+                    gas, d_new, M, 1e-10))))
             problems.append(("fast shock", noncharacteristic(lambda: _shock_problem(
-                rankine_hugoniot(gas, _random_field_state(rng, gas, d, level), family="fast",
-                                 mach=rng.uniform(1.3, 3.0), d=d), 1e-10))))
+                _relabelled_shock(rankine_hugoniot(gas, _random_field_state(rng, gas, d, level),
+                                                   family="fast", mach=rng.uniform(1.3, 3.0), d=d),
+                                  perm, d_new), 1e-10))))
     return problems, redrawn
 
 
@@ -1569,6 +1603,56 @@ def test_batched_scan_matches_per_point_path_on_random_problems(gas):
     for label in sorted(tally):
         cases, rows, fallback, failed = tally[label]
         print(f"  {label}: {cases} problems, {rows} rows, {fallback} per point, {failed} failed")
+
+
+def test_batched_scan_invariant_under_axis_relabelling_on_random_problems(gas):
+    # every draw of the random-problem oracle (the same seed, so the same
+    # problems and rows) relabelled from its normal d to each of the other
+    # two normals, and the slow shock that builds moved from x_3 to x_1 and
+    # x_2: u, B, the operator's columns and the tangential pair are permuted
+    # as in test_shock_scan_invariant_under_axis_relabelling, so every row
+    # gives the per-point |D| of the draw as it was, within the oracle's
+    # bound, with the same failures.  This covers the rows the batch sends
+    # per point.
+    rng = np.random.default_rng(2)
+    problems, _ = _random_problems(gas, rng)
+    rows = []
+    for _, problem in problems:
+        glancing = [_near_glancing_rows(side, rng) for side in problem.sides]
+        rows.append(np.concatenate([_mixed_grid(24, int(rng.integers(2**31)))._rows(),
+                                    *glancing]))
+    relabelled = [_random_problems(gas, np.random.default_rng(2), shift)[0]
+                  for shift in (1, 2)]
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, 0.0, 1.5])
+    slow = rankine_hugoniot(gas, up, family="slow", mach=1.1, d=3)
+    problems.append(("slow shock", _shock_problem(slow, 1e-10)))
+    rows.append(_mixed_grid(36, 87)._rows())
+    for shift, moved in zip((1, 2), relabelled):  # shift k takes x_3 to x_k
+        moved.append(("slow shock", _shock_problem(
+            _relabelled_shock(slow, _axis_permutation(3, shift), shift), 1e-10)))
+    eps = np.finfo(float).eps
+    n_per_point = [0, 0]
+    for i, ((label, problem), P) in enumerate(zip(problems, rows)):
+        grid = ExplicitGrid([_frequency(row) for row in P])
+        expected, bounds, failures = [], [], []
+        for j, zf in enumerate(grid.points()):
+            try:
+                expected.append(_point_abs_D(problem, zf, 1e-6))
+                bounds.append(max(1e-12, 10.0 * eps * _split_condition(problem, P[j], 1e-6)))
+            except MhdStabError as exc:
+                failures.append((j, type(exc).__name__, str(exc)))
+        for k, moved in enumerate(relabelled):
+            moved_label, moved_problem = moved[i]
+            assert moved_label == label
+            assert [side.dim for side in moved_problem.sides] == [
+                side.dim for side in problem.sides]
+            res = _scan(moved_problem, grid, 1e-6, polish_rounds=0)
+            assert _failure_list(res) == failures, (label, k + 1)
+            error = np.abs(np.array([row[4] for row in res.rows]) - expected)
+            assert np.all(error <= bounds), (label, k + 1, error.max())
+            n_per_point[k] += res.n_fallback
+    print(f"\n  {len(problems)} problems relabelled twice, "
+          f"{n_per_point} rows per point")
 
 
 def _near_characteristic_state(rng, gas, d, family, ratio):
