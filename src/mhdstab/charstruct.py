@@ -27,9 +27,17 @@ rather than classified.  A root of multiplicity m is nonglancing relative
 to the boundary when the m-th derivative of the characteristic polynomial
 in the normal frequency component does not vanish at the root; that
 derivative is read exactly off the factorized polynomial.  The branch
-group velocities are exact too: the symbol is symmetric in the
-symmetrizer's scaling and linear in xi, so (Rellich) the slopes of the m
-branches through the root are the eigenvalues of an m x m compression.
+group velocities are exact too.  Scaled by D = S^(1/2), S the diagonal
+Friedrichs symmetrizer, the symbol becomes H(xi) = D A(xi) D^-1, in closed
+form (u.xi) I plus the symmetric blocks
+
+    rho-u    c xi,                 c = sqrt(P_rho),
+    theta-u  g xi,                 g = P_theta sqrt(theta/e_theta)/rho,
+    u-B      xi b^T - (b.xi) I,    b = B/sqrt(rho),
+
+whose transposes fill the u-rho, u-theta and B-u blocks.  H is symmetric
+and linear in xi, so (Rellich) the slopes of the m branches through the
+root are the eigenvalues of an m x m compression.
 """
 
 from __future__ import annotations
@@ -41,15 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingBoundary, SingularTransform, ZeroFrequency
-from .symbol import (
-    IDX_B,
-    IDX_RHO,
-    IDX_THETA,
-    IDX_U,
-    assemble_full_symbol,
-    symmetrizer,
-    unit_vector,
-)
+from .symbol import IDX_B, IDX_RHO, IDX_THETA, IDX_U, unit_vector
 from .thermo import EquationOfState, ThermoState, c0_sq_from_eval, eval_eos
 
 __all__ = [
@@ -291,8 +291,6 @@ def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Product of polynomials given by their coefficients (increasing powers)
     along the last axis, over any broadcast leading axes."""
-    if a.ndim == b.ndim == 1:
-        return np.convolve(a, b)  # nonglancing_test's values keep its rounding
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
                    + (a.shape[-1] + b.shape[-1] - 1,), dtype=np.result_type(a, b))
     for i in range(a.shape[-1]):
@@ -312,7 +310,8 @@ def _char_poly_factors(tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq
     h^2 xi.xi - F, which is |xi x B|^2/rho for real xi.  For complex xi the
     products are the bilinear ones (xi.xi, not |xi|^2), so the factors stay
     those of the determinant.  `nonglancing_test` takes the line xi + t e_d
-    with real t; the scan takes xi = (eta, -s mu) with complex mu, whose
+    with real t (`_glancing_coefficient`, the same factors in scalar
+    arithmetic); the scan takes xi = (eta, -s mu) with complex mu, whose
     roots are a side's eigenvalues (`lopatinski._Side.roots`).
     """
     alfven = tau_sq - xi_dot_B_sq
@@ -331,6 +330,28 @@ def _factored_char_poly(tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq) -> np.ndar
     entropy, alfven, magnetosonic = _char_poly_factors(
         tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq)
     return _polymul(_polymul(entropy, alfven), magnetosonic)
+
+
+def _quadratic_product(p, q) -> tuple[float, ...]:
+    """The 5 coefficients of the product of two quadratics given as
+    coefficient triples (increasing powers)."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    return (p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0,
+            p1 * q2 + p2 * q1, p2 * q2)
+
+
+def _glancing_coefficient(tau_sq, xi_dot_B_sq, c0_xi_sq, xi_cross_B_sq, m: int) -> float:
+    """The m-th coefficient of `_factored_char_poly` of the same real
+    quadratics, P = T (T - F)((T - F)(T - C) - X T), in scalar arithmetic:
+    the sum over i of the i-th coefficient of T (T - F) times the (m-i)-th
+    of the magnetosonic factor."""
+    alfven = [t - f for t, f in zip(tau_sq, xi_dot_B_sq)]
+    lead = _quadratic_product(tau_sq, alfven)
+    magnetosonic = [p - q for p, q in zip(
+        _quadratic_product(alfven, [t - c for t, c in zip(tau_sq, c0_xi_sq)]),
+        _quadratic_product(xi_cross_B_sq, tau_sq))]
+    return sum(lead[i] * magnetosonic[m - i] for i in range(max(0, m - 4), min(m, 4) + 1))
 
 
 def char_poly_reduced(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:
@@ -451,14 +472,39 @@ def adapted_change_of_basis(state: ThermoState, eos: EquationOfState, xi) -> np.
 
 
 def _symmetric_symbol(state: ThermoState, eos: EquationOfState, *xis) -> list[np.ndarray]:
-    """H(xi) = D A(xi) D^-1 at each given xi, with D = S^(1/2) built once,
-    S the diagonal symmetrizer.
+    """H(xi) = D A(xi) D^-1 at each given xi (float 3-vectors), D = S^(1/2)
+    with S the diagonal symmetrizer, in closed form from one EOS evaluation:
 
-    S A is symmetric, so H is: it has A's eigenvalues and an orthonormal
-    eigenvector set, and it is linear in xi like A.
+        H(xi) = (u.xi) I + the symmetric blocks
+                rho-u    c xi,                 c = sqrt(P_rho),
+                theta-u  g xi,                 g = P_theta sqrt(theta/e_theta)/rho,
+                u-B      xi b^T - (b.xi) I,    b = B/sqrt(rho),
+
+    and B-u the transpose of u-B.  H is exactly symmetric: it has A's
+    eigenvalues and an orthonormal eigenvector set, and it is linear in xi
+    like A.
     """
-    D = np.sqrt(np.diag(symmetrizer(state, eos)))
-    return [D[:, None] * assemble_full_symbol(state, eos, xi) / D for xi in xis]
+    ev = eval_eos(eos, state.rho, state.theta)
+    c = math.sqrt(ev.P_rho)
+    g = ev.P_theta * math.sqrt(state.theta / ev.e_theta) / state.rho
+    b0, b1, b2 = (state.B / math.sqrt(state.rho)).tolist()
+    u0, u1, u2 = state.u.tolist()
+    out = []
+    for xi in xis:
+        x0, x1, x2 = xi.tolist()
+        ux = u0 * x0 + u1 * x1 + u2 * x2
+        bx = b0 * x0 + b1 * x1 + b2 * x2
+        out.append(np.array([
+            [ux, c * x0, c * x1, c * x2, 0.0, 0.0, 0.0, 0.0],
+            [c * x0, ux, 0.0, 0.0, g * x0, x0 * b0 - bx, x0 * b1, x0 * b2],
+            [c * x1, 0.0, ux, 0.0, g * x1, x1 * b0, x1 * b1 - bx, x1 * b2],
+            [c * x2, 0.0, 0.0, ux, g * x2, x2 * b0, x2 * b1, x2 * b2 - bx],
+            [0.0, g * x0, g * x1, g * x2, ux, 0.0, 0.0, 0.0],
+            [0.0, x0 * b0 - bx, x1 * b0, x2 * b0, 0.0, ux, 0.0, 0.0],
+            [0.0, x0 * b1, x1 * b1 - bx, x2 * b1, 0.0, 0.0, ux, 0.0],
+            [0.0, x0 * b2, x1 * b2, x2 * b2 - bx, 0.0, 0.0, 0.0, ux],
+        ]))
+    return out
 
 
 def _detect_regime(state: ThermoState, ws: WaveSpeeds, tol_manifold: float) -> RegimeTag:
@@ -557,7 +603,9 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     in xi_d at the root is nonzero.  The determinant is the closed-form
     factorization of `char_poly_reduced` with tau_tilde = tau0 + u.xi -
     sigma xi_d, a degree-8 polynomial in the shift of xi_d whose m-th
-    coefficient gives the derivative exactly.  The derivative is
+    coefficient gives the derivative exactly; only that coefficient is
+    formed, in scalar arithmetic on the quadratics T, F, C and X
+    (`_glancing_coefficient`).  The derivative is
     normalized by the same-order tau derivative
     m! * prod_{j not in root}(lambda_j - lambda_root) -- the two differ
     exactly by the product of the branch group velocities -- so the
@@ -566,7 +614,10 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     velocities are exact: H(xi + t e_d) = H(xi) + t H(e_d) is symmetric, so
     (Rellich) the m eigenvalue branches through the root are analytic in t
     and their slopes are the eigenvalues of W^T H(e_d) W, W the m
-    orthonormal eigenvectors of H(xi) at the root (`_symmetric_symbol`).
+    orthonormal eigenvectors of H(xi) at the root.  H is built in closed
+    form (`_symmetric_symbol`): (u.xi) I plus the symmetric blocks rho-u
+    sqrt(P_rho) xi, theta-u P_theta sqrt(theta/e_theta)/rho xi and u-B
+    xi b^T - (b.xi) I, b = B/sqrt(rho).
     The entropy double needs no eigensolve: its branches are exactly
     lambda = u . xi, so both velocities are u_d - sigma.  Raises ValueError
     when root.lam is not an eigenvalue of multiplicity m at xi.
@@ -601,24 +652,22 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     # in the shift t of xi_d, at tau0 = sigma xi_d - lambda_root:
     # tau_tilde = u.xi - lambda_root + (u_d - sigma) t, and
     # |xi x B|^2 = |xi|^2 |B|^2 - (xi.B)^2
-    e_d = unit_vector(d)
-
-    def sq(v0, v1):  # coefficients of |v0 + t v1|^2
-        return np.array([np.dot(v0, v0), 2.0 * np.dot(v0, v1), np.dot(v1, v1)])
-
-    xi_sq = sq(xi, e_d)
-    xi_dot_B_sq = sq(float(xi @ state.B), state.B[d - 1]) / state.rho
-    coef = _factored_char_poly(
-        sq(float(state.u @ xi) - root.lam, state.u[d - 1] - sigma),
-        xi_dot_B_sq, ws.c0**2 * xi_sq, ws.h**2 * xi_sq - xi_dot_B_sq)
-    deriv = math.factorial(m) * float(coef[m])
+    x = xi.tolist()
+    rho, u_d, B_d = state.rho, float(state.u[d - 1]), float(state.B[d - 1])
+    tau, xb, rel = float(state.u @ xi) - root.lam, float(xi @ state.B), u_d - sigma
+    xi_sq = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2], 2.0 * x[d - 1], 1.0)
+    xi_dot_B_sq = (xb * xb / rho, 2.0 * xb * B_d / rho, B_d * B_d / rho)
+    c0_sq, h_sq = ws.c0**2, ws.h**2
+    deriv = math.factorial(m) * _glancing_coefficient(
+        (tau * tau, 2.0 * tau * rel, rel * rel), xi_dot_B_sq,
+        [c0_sq * s for s in xi_sq], [h_sq * s - f for s, f in zip(xi_sq, xi_dot_B_sq)], m)
     nonglancing = abs(deriv) > 1e-8 * max(denom, 1e-300)
 
     if root.families == (FAMILY_ENTROPY,):
         # the entropy branches are exactly lambda = u . xi: both move at u_d
-        velocities = np.full(m, float(state.u[d - 1]) - sigma)
+        velocities = np.full(m, rel)
     else:
-        H, H_d = _symmetric_symbol(state, eos, xi, e_d)
+        H, H_d = _symmetric_symbol(state, eos, xi, unit_vector(d))
         w, V = np.linalg.eigh(H)
         W = V[:, np.argsort(np.abs(w - root.lam))[:m]]
         velocities = np.linalg.eigvalsh(W.T @ H_d @ W) - sigma

@@ -11,7 +11,7 @@ from mhdstab.errors import (
     ZeroFrequency,
 )
 from mhdstab.thermo import EosEval, EquationOfState, IdealGas, ThermoState, sound_speed_sq
-from mhdstab.symbol import assemble_full_symbol, assemble_tilde_symbol, unit_vector
+from mhdstab.symbol import assemble_full_symbol, assemble_tilde_symbol, symmetrizer, unit_vector
 from mhdstab.charstruct import (
     BoundaryFrame,
     Classification,
@@ -27,7 +27,12 @@ from mhdstab.charstruct import (
     tangent_basis,
     wave_speeds,
 )
-from mhdstab.charstruct import _char_poly_factors, _factored_char_poly, _merged_roots
+from mhdstab.charstruct import (
+    _char_poly_factors,
+    _factored_char_poly,
+    _merged_roots,
+    _symmetric_symbol,
+)
 
 from conftest import random_state, random_xi, random_rotation
 
@@ -884,3 +889,99 @@ def test_char_poly_factors_of_a_stack_match_each_row():
         entropy, alfven, magnetosonic = (f[i] for f in stacked)
         assert_allclose(np.convolve(np.convolve(entropy, alfven), magnetosonic),
                         _factored_char_poly(*row), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("eos", [IdealGas(R=1.0, c_v=1.5), _QuadraticPressure()],
+                         ids=["ideal-gas", "quadratic-pressure"])
+def test_symmetric_symbol_is_the_scaled_full_symbol(eos):
+    # the closed-form H(xi) against D A(xi) D^-1 with D = S^(1/2) from
+    # `symmetrizer`, on random states and xi, at B = 0, xi along B and xi
+    # across B: exactly symmetric, linear in xi, and with the closed-form
+    # spectrum, multiplicities included
+    rng = np.random.default_rng(48)
+    for kind in ("random", "B = 0", "xi || B", "xi _|_ B") * 10:
+        st, xi = random_state(rng), random_xi(rng)
+        if kind == "B = 0":
+            st = dataclasses.replace(st, B=np.zeros(3))
+        elif kind == "xi || B":
+            xi = st.B * (rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1, 1)
+                         / np.linalg.norm(st.B))
+        elif kind == "xi _|_ B":
+            xi = xi - (xi @ st.B) / (st.B @ st.B) * st.B
+        H, *H_e = _symmetric_symbol(st, eos, xi, *np.eye(3))
+        scale = np.abs(H).max()
+        D = np.sqrt(np.diag(symmetrizer(st, eos)))
+        assert_allclose(H, D[:, None] * assemble_full_symbol(st, eos, xi) / D,
+                        rtol=0, atol=1e-14 * scale)
+        assert np.array_equal(H, H.T)
+        assert_allclose(H, sum(x * h for x, h in zip(xi, H_e)), rtol=0, atol=1e-14 * scale)
+        vel_scale = max(wave_speeds(st, eos, xi).c_f, np.linalg.norm(st.u), 1.0)
+        assert_allclose(np.linalg.eigvalsh(H), closed_form_spectrum(eigenvalues(st, eos, xi)),
+                        rtol=0, atol=1e-12 * np.linalg.norm(xi) * vel_scale)
+
+
+def test_derivative_value_at_every_multiplicity(gas):
+    # derivative_value / m! is the m-th coefficient of the factored
+    # determinant along xi + t e_d up to the rounding its |.|-majorant
+    # bounds, at simple roots, the entropy double, the Alfven doubles of case
+    # c and the sextuple of case b; the reference factors are closed-form
+    # quadratics, X = |x x B|^2 / rho from the cross product
+    rng = np.random.default_rng(49)
+    seen = set()
+    for case in "abc" * 10:
+        st, xi, boundary = _designed_point(rng, case)
+        d, sigma = boundary.axis, boundary.sigma
+        c0_sq = sound_speed_sq(gas, st)
+        cross, cross_d = np.cross(xi, st.B), np.cross(unit_vector(d), st.B)
+        xb, b_d = xi @ st.B, st.B[d - 1]
+        F = np.array([xb * xb, 2.0 * xb * b_d, b_d * b_d]) / st.rho
+        C = c0_sq * np.array([xi @ xi, 2.0 * xi[d - 1], 1.0])
+        X = np.array([cross @ cross, 2.0 * cross @ cross_d, cross_d @ cross_d]) / st.rho
+        roots, _ = classify(st, gas, xi, boundary=boundary)
+        for root in roots:
+            m = root.multiplicity
+            tau, rel = st.u @ xi - root.lam, st.u[d - 1] - sigma
+            T = np.array([tau * tau, 2.0 * tau * rel, rel * rel])
+            res = nonglancing_test(st, gas, root, xi, boundary)
+            majorant = _factored_char_poly(abs(T), -abs(F), -abs(C), -abs(X))[m]
+            assert (abs(res.derivative_value / math.factorial(m)
+                        - _factored_char_poly(T, F, C, X)[m]) <= 1e-12 * majorant), (case, root)
+            seen.add((m, "alfven" if any("alfven" in f for f in root.families)
+                      else root.families[0]))
+    assert {(1, "fast-"), (2, "entropy"), (2, "alfven"), (6, "alfven")} <= seen
+
+
+def test_classify_and_nonglancing_build_no_full_symbol(gas, monkeypatch):
+    # H(xi) is built in closed form: neither classify, case b's eigenvector
+    # count included, nor nonglancing_test assembles the 8x8 symbol or the
+    # symmetrizer
+    import sys
+
+    from mhdstab import symbol
+
+    calls = []
+    for name in ("assemble_full_symbol", "symmetrizer"):
+        fn = getattr(symbol, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("mhdstab")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    rng = np.random.default_rng(50)
+    classes = set()
+    for case in "abc" * 5:
+        st, xi, boundary = _designed_point(rng, case)
+        roots, regime = classify(st, gas, xi, boundary=boundary)
+        for root in roots:
+            nonglancing_test(st, gas, root, xi, boundary)
+            classes.add((regime.case, root.multiplicity, root.classification))
+    assert ("b", 6, GEOM) in classes
+    assert calls == []
+    # the counters see a call through the module
+    symbol.symmetrizer(st, gas)
+    symbol.assemble_full_symbol(st, gas, xi)
+    monkeypatch.undo()
+    assert calls == ["symmetrizer", "assemble_full_symbol"]

@@ -1353,7 +1353,7 @@ def _count_G_rows(monkeypatch):
     return rows
 
 
-def test_scan_builds_G_only_for_eigvals_rows(gas, monkeypatch):
+def test_scan_builds_no_G_and_takes_no_eigvals(gas, monkeypatch):
     # a fast-shock scan and a frozen-complement scan trust every closed-form
     # root, so no row builds s G; on the dimension-7 inflow at tangential |B|
     # = 1e-5, the 8 rows of the roots test whose roots are not trusted go to
