@@ -37,7 +37,13 @@ form (u.xi) I plus the symmetric blocks
 
 whose transposes fill the u-rho, u-theta and B-u blocks.  H is symmetric
 and linear in xi, so (Rellich) the slopes of the m branches through the
-root are the eigenvalues of an m x m compression.
+root are the eigenvalues of an m x m compression.  Its m eigenvectors come
+in closed form from the paper's adapted blocks: in the orthonormal frame
+(xi_hat, t1, t2) of `tangent_basis`, H(xi_hat) - (u.xi_hat) I splits into
+a magnetoacoustic tridiagonal with off-diagonals (c0, b, -a) on
+(s, u.xi_hat, B.t1, u.t1), s = (c rho' + g theta')/c0, the Alfven pair
+(u.t2, B.t2) with off-diagonal -a, the entropy mode (g rho' - c theta')/c0
+and the div-B mode B.xi_hat.
 """
 
 from __future__ import annotations
@@ -171,10 +177,18 @@ class NonglancingResult:
     branch_velocities: tuple[float, ...] = field(default_factory=tuple)
 
 
+def _norm(v: np.ndarray) -> float:
+    """float(np.linalg.norm(v)) for a float vector without the call's
+    overhead: the square root of the same dot of the same raveled array,
+    so the same bits."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 def _check_xi(xi) -> tuple[np.ndarray, float]:
     xi = np.asarray(xi, dtype=float).reshape(3)
-    xin = float(np.linalg.norm(xi))
-    if xin == 0.0 or not np.isfinite(xin):
+    xin = _norm(xi)
+    if xin == 0.0 or not math.isfinite(xin):
         raise ZeroFrequency("xi must be a finite nonzero 3-vector")
     return xi, xin
 
@@ -192,14 +206,19 @@ def wave_speeds(state: ThermoState, eos: EquationOfState, xi) -> WaveSpeeds:
     c_s^2 is evaluated through the product identity c_f^2 c_s^2 = a^2 c0^2
     to avoid cancellation in the subtracted quadratic root.
     """
-    xi, xin = _check_xi(xi)
+    return _wave_speeds(state, eos, *_check_xi(xi))
+
+
+def _wave_speeds(state: ThermoState, eos: EquationOfState, xi: np.ndarray,
+                 xin: float) -> WaveSpeeds:
+    """`wave_speeds` from the caller's checked xi and |xi|."""
     xi_hat = xi / xin
     ev = eval_eos(eos, state.rho, state.theta)
     rho, B = state.rho, state.B
     sqrt_rho = math.sqrt(rho)
 
     a = float(xi_hat @ B) / sqrt_rho
-    b = float(np.linalg.norm(_cross(xi_hat, B))) / sqrt_rho
+    b = _norm(_cross(xi_hat, B)) / sqrt_rho
     h_sq = float(B @ B) / rho
     c0_sq = c0_sq_from_eval(ev, rho, state.theta)
 
@@ -235,7 +254,7 @@ def _noncharacteristic(lam: np.ndarray, tol_det: float) -> bool:
 
 def _speed_scale(ws: WaveSpeeds, state: ThermoState, sigma: float = 0.0) -> float:
     """The velocity scale max(c_f, |u|, |sigma|, 1) of the tolerances."""
-    return max(ws.c_f, float(np.linalg.norm(state.u)), abs(sigma), 1.0)
+    return max(ws.c_f, _norm(state.u), abs(sigma), 1.0)
 
 
 def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
@@ -248,20 +267,14 @@ def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
     NotClassified; use `classify` for labels.
     """
     xi, xin = _check_xi(xi)
-    return _merged_roots(state, xi, xin, wave_speeds(state, eos, xi), tol_merge)
+    return _merged_roots(state, xi, xin, _wave_speeds(state, eos, xi, xin), tol_merge)
 
 
-def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds,
-                  tol_merge: float = 1e-9) -> list[CharacteristicRoot]:
-    """`eigenvalues` from the caller's checked xi, |xi| and wave speeds.
-
-    The sorted values group by anchor: a cluster opens at its smallest value
-    and takes every later value within the band of that anchor, so values
-    spaced just under the band do not chain into one root.
-    """
+def _closed_form_values(state: ThermoState, xi: np.ndarray, xin: float,
+                        ws: WaveSpeeds) -> list[tuple[float, str, int]]:
+    """The seven distinct closed-form values (value, family, multiplicity)."""
     base = float(state.u @ xi)
-
-    entries = [
+    return [
         (base, FAMILY_ENTROPY, 2),
         (base - ws.c_s * xin, FAMILY_SLOW_M, 1),
         (base + ws.c_s * xin, FAMILY_SLOW_P, 1),
@@ -270,8 +283,20 @@ def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds
         (base - ws.c_f * xin, FAMILY_FAST_M, 1),
         (base + ws.c_f * xin, FAMILY_FAST_P, 1),
     ]
-    entries.sort(key=lambda t: t[0])
-    band = tol_merge * xin * _speed_scale(ws, state)
+
+
+def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds,
+                  tol_merge: float = 1e-9, scale: float | None = None
+                  ) -> list[CharacteristicRoot]:
+    """`eigenvalues` from the caller's checked xi, |xi| and wave speeds, and
+    optionally its `_speed_scale`.
+
+    The sorted values group by anchor: a cluster opens at its smallest value
+    and takes every later value within the band of that anchor, so values
+    spaced just under the band do not chain into one root.
+    """
+    entries = sorted(_closed_form_values(state, xi, xin, ws), key=lambda t: t[0])
+    band = tol_merge * xin * (_speed_scale(ws, state) if scale is None else scale)
 
     clusters: list[list[tuple[float, str, int]]] = []
     for entry in entries:
@@ -403,18 +428,32 @@ def tangent_basis(xi, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     xi, xin = _check_xi(xi)
     xi_hat = xi / xin
-    B = np.asarray(B, dtype=float).reshape(3)
-    B_perp = B - (B @ xi_hat) * xi_hat
-    B_perp_norm = np.linalg.norm(B_perp)
-    if B_perp_norm > 1e-12 * np.linalg.norm(B):
-        t1 = B_perp / B_perp_norm
+    t1, t2, _ = _tangent_pair(xi_hat.tolist(), np.asarray(B, dtype=float).reshape(3).tolist())
+    return xi_hat, np.array(t1), np.array(t2)
+
+
+def _tangent_pair(x: list[float], B: list[float]
+                  ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+    """t1 and t2 of `tangent_basis` for the components of a unit xi_hat and
+    of B, and whether t1 lies along the tangential field (False for the
+    Householder complement)."""
+    x0, x1, x2 = x
+    dot = x0 * B[0] + x1 * B[1] + x2 * B[2]
+    perp = [Bi - dot * xi for Bi, xi in zip(B, x)]
+    along_field = math.hypot(*perp) > 1e-12 * math.hypot(*B)
+    if along_field:
+        # a second projection keeps t1 orthogonal to xi_hat to rounding even
+        # when the tangential field is small next to the first one's rounding
+        dot = x0 * perp[0] + x1 * perp[1] + x2 * perp[2]
+        t1 = _unit([p - dot * xi for p, xi in zip(perp, x)])
     else:
-        sign = 1.0 if xi_hat[0] >= 0.0 else -1.0
-        v = xi_hat + sign * np.array([1.0, 0.0, 0.0])
-        H = np.eye(3) - 2.0 * np.outer(v, v) / (v @ v)
-        t1 = H[:, 1]
-    t2 = _cross(xi_hat, t1)
-    return xi_hat, t1, t2
+        # column 2 of the Householder reflection I - 2 v v^T / (v.v),
+        # v = xi_hat + sign(x0) e_1, which maps e_1 to -sign(x0) xi_hat
+        v0 = x0 + (1.0 if x0 >= 0.0 else -1.0)
+        scale = 2.0 * x1 / (v0 * v0 + x1 * x1 + x2 * x2)
+        t1 = (-scale * v0, 1.0 - scale * x1, -scale * x2)
+    t2 = (x1 * t1[2] - x2 * t1[1], x2 * t1[0] - x0 * t1[2], x0 * t1[1] - x1 * t1[0])
+    return t1, t2, along_field
 
 
 def adapted_block_matrix(state: ThermoState, eos: EquationOfState, xi,
@@ -428,8 +467,7 @@ def adapted_block_matrix(state: ThermoState, eos: EquationOfState, xi,
     lambda_tilde, and the conjugation back to (rho, u, theta, B) unknowns
     is `adapted_change_of_basis`.
     """
-    _check_xi(xi)
-    ws = wave_speeds(state, eos, xi)
+    ws = _wave_speeds(state, eos, *_check_xi(xi))
     a, b, c0_sq = ws.a, ws.b, ws.c0**2
     lt = float(lambda_tilde)
     M = np.array([
@@ -555,10 +593,11 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
     of the symmetric H(xi) inside the merge band.
     """
     xi, xin = _check_xi(xi)
-    ws = wave_speeds(state, eos, xi)
+    ws = _wave_speeds(state, eos, xi, xin)
     regime = _detect_regime(state, ws, tol_manifold)
-    roots = _merged_roots(state, xi, xin, ws, tol_merge)
-    band = tol_merge * xin * _speed_scale(ws, state)
+    scale = _speed_scale(ws, state)
+    roots = _merged_roots(state, xi, xin, ws, tol_merge, scale)
+    band = tol_merge * xin * scale
 
     def classify_root(root: CharacteristicRoot) -> CharacteristicRoot:
         if root.multiplicity == 1:
@@ -584,7 +623,7 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
             d = boundary.axis
             u_d = float(state.u[d - 1])
             alf_d = float(state.B[d - 1]) / math.sqrt(state.rho)
-            tol = tol_manifold * _speed_scale(ws, state, boundary.sigma)
+            tol = tol_manifold * max(scale, abs(boundary.sigma))
             rel = u_d - boundary.sigma
             if abs(rel - alf_d) > tol and abs(rel + alf_d) > tol:
                 return root.with_classification(Classification.TOTALLY_NONGLANCING)
@@ -592,6 +631,86 @@ def classify(state: ThermoState, eos: EquationOfState, xi,
         return root.with_classification(Classification.NOT_CLASSIFIED)
 
     return [classify_root(r) for r in roots], regime
+
+
+def _unit(v) -> tuple[float, ...]:
+    norm = math.hypot(*v)
+    return tuple([x / norm for x in v])
+
+
+def _magnetoacoustic_vectors(mus: list[float], others: list[float], ws: WaveSpeeds,
+                             b: float) -> list[tuple[float, float, float, float]]:
+    """Orthonormal vectors spanning the eigenvectors of the magnetoacoustic
+    block T, the tridiagonal with zero diagonal and off-diagonals
+    (c0, b, -a) on (s, u.xi_hat, B.t1, u.t1), at its eigenvalues mus (among
+    +-c_s, +-c_f); others are its remaining eigenvalues.
+
+    One eigenvalue: the column of adj(T - mu I) = prod(gaps) q q^T with the
+    largest diagonal entry.  More: the leading columns of the product of
+    T - o I over the others, orthonormalized; only their span is well
+    determined when the eigenvalues lie close together.  Both are
+    polynomials in the entries, so where an off-diagonal vanishes (a = 0 in
+    case b, b = 0 in case c and at the Householder frame) they give the
+    vectors of the decoupled blocks without a separate branch.
+    """
+    a, c0 = ws.a, ws.c0
+    a2, b2, c2 = a * a, b * b, c0 * c0
+    if len(mus) == 1:
+        mu = mus[0]
+        m2 = mu * mu
+        adj = [(mu * (a2 + b2 - m2), c0 * (a2 - m2), -c0 * b * mu, c0 * a * b),
+               (c0 * (m2 - a2), mu * (m2 - a2), b * m2, -a * b * mu),
+               (c0 * b * mu, b * m2, mu * (m2 - c2), -a * (m2 - c2)),
+               (a * b * c0, a * b * mu, a * (m2 - c2), mu * (b2 + c2 - m2))]
+        return [_unit(adj[max(range(4), key=lambda j: abs(adj[j][j]))])]
+    # the range of the product of T - o I over the other eigenvalues o,
+    # which vanishes on their eigenvectors: its leading columns, pivoted
+    # Gram-Schmidt
+    if len(others) == 2:
+        s, p = others[0] + others[1], others[0] * others[1]
+        cols = [(c2 + p, -s * c0, c0 * b, 0.0),
+                (-s * c0, c2 + b2 + p, -s * b, -a * b),
+                (c0 * b, -s * b, b2 + a2 + p, s * a),
+                (0.0, -a * b, s * a, a2 + p)]
+    elif others:
+        o = others[0]
+        cols = [(-o, c0, 0.0, 0.0), (c0, -o, b, 0.0), (0.0, b, -o, -a), (0.0, 0.0, -a, -o)]
+    else:
+        cols = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
+    vectors = []
+    while len(vectors) < len(mus):
+        v = _unit(max(cols, key=lambda col: math.hypot(*col)))
+        vectors.append(v)
+        dots = [v[0] * x0 + v[1] * x1 + v[2] * x2 + v[3] * x3 for x0, x1, x2, x3 in cols]
+        cols = [[x - dot * y for x, y in zip(col, v)] for col, dot in zip(cols, dots)]
+    return vectors
+
+
+def _root_vectors(families, ws: WaveSpeeds, b: float) -> list[tuple[float, ...]]:
+    """Orthonormal eigenvectors of H(xi_hat) at a root made of `families`, as
+    coefficients on the frame coordinates (s, u.xi_hat, B.t1, u.t1, u.t2,
+    B.t2, e, B.xi_hat) with s = (c rho' + g theta')/c0 and e = (g rho' -
+    c theta')/c0.
+
+    In that frame H(xi_hat) - (u.xi_hat) I splits into the magnetoacoustic
+    block (`_magnetoacoustic_vectors`), the Alfven pair (u.t2, B.t2) with
+    off-diagonal -a, and the entropy mode e and div-B mode B.xi_hat at 0.
+    """
+    r = math.sqrt(0.5)
+    vectors = []
+    if FAMILY_ENTROPY in families:
+        vectors += [(0.0,) * 6 + (1.0, 0.0), (0.0,) * 7 + (1.0,)]
+    if FAMILY_ALFVEN_M in families:
+        vectors.append((0.0,) * 4 + (r, r, 0.0, 0.0))
+    if FAMILY_ALFVEN_P in families:
+        vectors.append((0.0,) * 4 + (r, -r, 0.0, 0.0))
+    mus, others = [], []
+    for family, mu in ((FAMILY_SLOW_M, -ws.c_s), (FAMILY_SLOW_P, ws.c_s),
+                       (FAMILY_FAST_M, -ws.c_f), (FAMILY_FAST_P, ws.c_f)):
+        (mus if family in families else others).append(mu)
+    if mus:
+        vectors += [v + (0.0,) * 4 for v in _magnetoacoustic_vectors(mus, others, ws, b)]
+    return vectors
 
 
 def nonglancing_test(state: ThermoState, eos: EquationOfState,
@@ -605,22 +724,26 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     sigma xi_d, a degree-8 polynomial in the shift of xi_d whose m-th
     coefficient gives the derivative exactly; only that coefficient is
     formed, in scalar arithmetic on the quadratics T, F, C and X
-    (`_glancing_coefficient`).  The derivative is
-    normalized by the same-order tau derivative
-    m! * prod_{j not in root}(lambda_j - lambda_root) -- the two differ
-    exactly by the product of the branch group velocities -- so the
-    scale-relative tolerance 1e-8 acts in velocity units.  totally: all m
-    branch group velocities d(lambda)/d(xi_d) - sigma share one sign.  The
-    velocities are exact: H(xi + t e_d) = H(xi) + t H(e_d) is symmetric, so
-    (Rellich) the m eigenvalue branches through the root are analytic in t
-    and their slopes are the eigenvalues of W^T H(e_d) W, W the m
-    orthonormal eigenvectors of H(xi) at the root.  H is built in closed
-    form (`_symmetric_symbol`): (u.xi) I plus the symmetric blocks rho-u
-    sqrt(P_rho) xi, theta-u P_theta sqrt(theta/e_theta)/rho xi and u-B
-    xi b^T - (b.xi) I, b = B/sqrt(rho).
-    The entropy double needs no eigensolve: its branches are exactly
-    lambda = u . xi, so both velocities are u_d - sigma.  Raises ValueError
-    when root.lam is not an eigenvalue of multiplicity m at xi.
+    (`_glancing_coefficient`).  The derivative is normalized by the
+    same-order tau derivative m! * prod_{j not in root}(lambda_j -
+    lambda_root), read off one walk over the seven closed-form values: the
+    values within 1e-9 |xi| vel_scale of the root make its multiplicity, the
+    others the product.  The two derivatives differ exactly by the product
+    of the branch group velocities, so the scale-relative tolerance 1e-8
+    acts in velocity units.  totally: all m branch group velocities
+    d(lambda)/d(xi_d) - sigma share one sign.  The velocities are exact:
+    H(xi + t e_d) = H(xi) + t H(e_d), H = S^(1/2) A S^(-1/2) the symmetric
+    symbol, so (Rellich) the m eigenvalue branches through the root are
+    analytic in t and their slopes are the eigenvalues of W^T H(e_d) W, W the
+    m orthonormal eigenvectors of H(xi) at the root.  W comes in closed form
+    from the frame (xi_hat, t1, t2) of `tangent_basis`, in which H(xi_hat)
+    splits into the paper's adapted blocks (`_root_vectors`), and so does
+    the compression.  At the Householder frame the coupling b = |xi_hat x
+    B|/sqrt(rho), at most 1e-12 |B|/sqrt(rho) there, is dropped: the
+    velocities carry an error of that order.  The entropy double needs no
+    vectors: its branches are exactly lambda = u . xi, so both velocities
+    are u_d - sigma.  Raises ValueError when root.lam is not an eigenvalue
+    of multiplicity m at xi.
     """
     if boundary is None:
         raise MissingBoundary("nonglancing_test requires boundary data")
@@ -629,24 +752,28 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     if m > 6:
         raise ValueError(f"derivative order capped at 6, got multiplicity {m}")
     d, sigma = boundary.axis, boundary.sigma
-    ws = wave_speeds(state, eos, xi)
+    ws = _wave_speeds(state, eos, xi, xin)
     vel_scale = _speed_scale(ws, state, sigma)
 
     # same-order tau derivative of P at the root: the sigma shift cancels in
     # the eigenvalue gaps
+    band = 1e-9 * xin * vel_scale
     gap_product = math.factorial(m)
-    matched = False
-    for other in _merged_roots(state, xi, xin, ws):
-        if abs(other.lam - root.lam) <= 1e-9 * xin * vel_scale:
-            if other.multiplicity != m:
-                raise ValueError(
-                    f"root multiplicity {m} does not match the spectrum "
-                    f"(found {other.multiplicity} at lambda = {other.lam})")
-            matched = True
-            continue
-        gap_product *= (other.lam - root.lam) ** other.multiplicity
-    if not matched:
+    values = _closed_form_values(state, xi, xin, ws)
+    inside = []
+    for entry in values:
+        if abs(entry[0] - root.lam) <= band:
+            inside.append(entry)
+        else:
+            gap_product *= (entry[0] - root.lam) ** entry[2]
+    found = sum(k for _, _, k in inside)
+    if found == 0:
         raise ValueError(f"lambda = {root.lam} is not an eigenvalue at this xi")
+    if found != m:
+        inside.sort(key=lambda t: t[0])
+        raise ValueError(
+            f"root multiplicity {m} does not match the spectrum "
+            f"(found {found} at lambda = {sum(v * k for v, _, k in inside) / found})")
     denom = abs(gap_product) * vel_scale**m
 
     # in the shift t of xi_d, at tau0 = sigma xi_d - lambda_root:
@@ -654,7 +781,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     # |xi x B|^2 = |xi|^2 |B|^2 - (xi.B)^2
     x = xi.tolist()
     rho, u_d, B_d = state.rho, float(state.u[d - 1]), float(state.B[d - 1])
-    tau, xb, rel = float(state.u @ xi) - root.lam, float(xi @ state.B), u_d - sigma
+    tau, xb, rel = values[0][0] - root.lam, float(xi @ state.B), u_d - sigma
     xi_sq = (x[0] * x[0] + x[1] * x[1] + x[2] * x[2], 2.0 * x[d - 1], 1.0)
     xi_dot_B_sq = (xb * xb / rho, 2.0 * xb * B_d / rho, B_d * B_d / rho)
     c0_sq, h_sq = ws.c0**2, ws.h**2
@@ -663,18 +790,35 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         [c0_sq * s for s in xi_sq], [h_sq * s - f for s, f in zip(xi_sq, xi_dot_B_sq)], m)
     nonglancing = abs(deriv) > 1e-8 * max(denom, 1e-300)
 
-    if root.families == (FAMILY_ENTROPY,):
+    families = {f for _, f, _ in inside}
+    if families == {FAMILY_ENTROPY}:
         # the entropy branches are exactly lambda = u . xi: both move at u_d
-        velocities = np.full(m, rel)
+        velocities = [rel] * m
     else:
-        H, H_d = _symmetric_symbol(state, eos, xi, unit_vector(d))
-        w, V = np.linalg.eigh(H)
-        W = V[:, np.argsort(np.abs(w - root.lam))[:m]]
-        velocities = np.linalg.eigvalsh(W.T @ H_d @ W) - sigma
+        # W^T H(e_d) W in the frame: with e_d = alpha xi_hat + beta t1 +
+        # gamma t2 and B/sqrt(rho) = a xi_hat + b t1, H(e_d) - u_d I has the
+        # entries below on (s, u.xi_hat, B.t1, u.t1, u.t2, B.t2, e, B.xi_hat)
+        xi_hat = [c / xin for c in x]
+        t1, t2, along_field = _tangent_pair(xi_hat, state.B.tolist())
+        a, b, c0 = ws.a, (ws.b if along_field else 0.0), ws.c0
+        al, be, ga = xi_hat[d - 1], t1[d - 1], t2[d - 1]
+        b_d = a * al + b * be
+        H_d = np.array([
+            [0.0, c0 * al, 0.0, c0 * be, c0 * ga, 0.0, 0.0, 0.0],
+            [c0 * al, 0.0, b * al, 0.0, 0.0, 0.0, 0.0, -b * be],
+            [0.0, b * al, 0.0, -a * al, b * ga, 0.0, 0.0, 0.0],
+            [c0 * be, 0.0, -a * al, 0.0, 0.0, 0.0, 0.0, a * be],
+            [c0 * ga, 0.0, b * ga, 0.0, 0.0, -b_d, 0.0, a * ga],
+            [0.0, 0.0, 0.0, 0.0, -b_d, 0.0, 0.0, 0.0],
+            [0.0] * 8,
+            [0.0, -b * be, 0.0, a * be, a * ga, 0.0, 0.0, 0.0],
+        ])
+        W = np.array(_root_vectors(families, ws, b))
+        velocities = (np.linalg.eigvalsh(W @ H_d @ W.T) + rel).tolist()
 
     vel_tol = 1e-8 * vel_scale
-    incoming = int(np.sum(velocities > vel_tol))
-    outgoing = int(np.sum(velocities < -vel_tol))
+    incoming = sum(v > vel_tol for v in velocities)
+    outgoing = sum(v < -vel_tol for v in velocities)
     totally = bool(nonglancing and (incoming == m or outgoing == m))
     return NonglancingResult(
         nonglancing=bool(nonglancing),
@@ -682,7 +826,7 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         incoming_count=incoming,
         outgoing_count=outgoing,
         derivative_value=deriv,
-        branch_velocities=tuple(float(v) for v in velocities),
+        branch_velocities=tuple(velocities),
     )
 
 

@@ -33,6 +33,7 @@ from mhdstab.charstruct import (
     _merged_roots,
     _symmetric_symbol,
 )
+from mhdstab import charstruct
 
 from conftest import random_state, random_xi, random_rotation
 
@@ -875,7 +876,7 @@ def test_char_poly_reduced_matches_expanded_coefficients(eos):
 
 
 def test_char_poly_factors_of_a_stack_match_each_row():
-    # the scan passes stacks of complex coefficient rows, nonglancing_test
+    # the scan passes stacks of complex coefficient rows, char_poly_reduced
     # single real rows: both get the same factors, and their product is
     # _factored_char_poly
     rng = np.random.default_rng(47)
@@ -985,3 +986,158 @@ def test_classify_and_nonglancing_build_no_full_symbol(gas, monkeypatch):
     symbol.assemble_full_symbol(st, gas, xi)
     monkeypatch.undo()
     assert calls == ["symmetrizer", "assemble_full_symbol"]
+
+
+def _reference_nonglancing(st, eos, root, xi, boundary):
+    """`nonglancing_test` by the 8x8 route: the root matched among the
+    merged roots, the gap product over the other merged roots, the
+    derivative from the stacked `_factored_char_poly` of quadratics built
+    from the cross product, and the branch velocities from a full `eigh` of
+    H(xi) compressed onto the m eigenvectors nearest the root.  Returns the
+    result fields and the derivative's |.|-majorant."""
+    xi = np.asarray(xi, dtype=float)
+    xin = float(np.linalg.norm(xi))
+    m, d, sigma = root.multiplicity, boundary.axis, boundary.sigma
+    ws = wave_speeds(st, eos, xi)
+    vel_scale = max(ws.c_f, float(np.linalg.norm(st.u)), abs(sigma), 1.0)
+    gap_product = math.factorial(m)
+    matched = False
+    for other in _merged_roots(st, xi, xin, ws):
+        if abs(other.lam - root.lam) <= 1e-9 * xin * vel_scale:
+            if other.multiplicity != m:
+                raise ValueError(
+                    f"root multiplicity {m} does not match the spectrum "
+                    f"(found {other.multiplicity} at lambda = {other.lam})")
+            matched = True
+            continue
+        gap_product *= (other.lam - root.lam) ** other.multiplicity
+    if not matched:
+        raise ValueError(f"lambda = {root.lam} is not an eigenvalue at this xi")
+
+    c0_sq = sound_speed_sq(eos, st)
+    cross, cross_d = np.cross(xi, st.B), np.cross(unit_vector(d), st.B)
+    xb, b_d = xi @ st.B, st.B[d - 1]
+    F = np.array([xb * xb, 2.0 * xb * b_d, b_d * b_d]) / st.rho
+    C = c0_sq * np.array([xi @ xi, 2.0 * xi[d - 1], 1.0])
+    X = np.array([cross @ cross, 2.0 * cross @ cross_d, cross_d @ cross_d]) / st.rho
+    tau, rel = st.u @ xi - root.lam, st.u[d - 1] - sigma
+    T = np.array([tau * tau, 2.0 * tau * rel, rel * rel])
+    deriv = math.factorial(m) * _factored_char_poly(T, F, C, X)[m]
+    majorant = math.factorial(m) * _factored_char_poly(abs(T), -abs(F), -abs(C), -abs(X))[m]
+    nonglancing = abs(deriv) > 1e-8 * max(abs(gap_product) * vel_scale**m, 1e-300)
+
+    if root.families == ("entropy",):
+        velocities = np.full(m, rel)
+    else:
+        H, H_d = _symmetric_symbol(st, eos, xi, unit_vector(d))
+        w, V = np.linalg.eigh(H)
+        W = V[:, np.argsort(np.abs(w - root.lam))[:m]]
+        velocities = np.linalg.eigvalsh(W.T @ H_d @ W) - sigma
+    incoming = int(np.sum(velocities > 1e-8 * vel_scale))
+    outgoing = int(np.sum(velocities < -1e-8 * vel_scale))
+    totally = nonglancing and (incoming == m or outgoing == m)
+    return (nonglancing, totally, incoming, outgoing), deriv, velocities, majorant, vel_scale
+
+
+_NONGLANCING_ERRORS = ("does not match the spectrum", "is not an eigenvalue")
+
+
+def _probe(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_nonglancing_matches_the_eight_by_eight_reference(gas):
+    # designed points of cases a, b and c at axes 1-3 and the excluded
+    # regimes B = 0 and |B|^2 = rho c0^2 (xi generic, along B, and 1e-10 off
+    # B, where slow, Alfven and fast pass within 1e-10 of each other); every
+    # root as it is, with multiplicity m - 1 and with lambda shifted by 1e-3:
+    # the same verdicts, counts and errors as the 8x8 reference, the
+    # velocities within 1e-13 vel_scale and the derivative within 1e-12 of
+    # its majorant
+    rng = np.random.default_rng(51)
+    points = []
+    for case in "abc" * 8:
+        st, xi, boundary = _designed_point(rng, case)
+        points += [(case, st, xi, BoundaryFrame(axis=d, sigma=boundary.sigma))
+                   for d in (1, 2, 3)]
+    for _ in range(8):
+        st, xi, boundary = _designed_point(rng, "a")
+        b_dir = st.B / np.linalg.norm(st.B)
+        on_manifold = dataclasses.replace(
+            st, B=math.sqrt(st.rho * sound_speed_sq(gas, st)) * b_dir)
+        tilt = np.cross(b_dir, xi)
+        tilt *= 1e-10 / np.linalg.norm(tilt)
+        points += [("B = 0", dataclasses.replace(st, B=np.zeros(3)), xi, boundary),
+                   ("equal", on_manifold, xi, boundary),
+                   ("equal, xi || B", on_manifold, b_dir * np.linalg.norm(xi), boundary),
+                   ("equal, xi near B", on_manifold, b_dir + tilt, boundary)]
+    seen, errors = set(), set()
+    for kind, st, xi, boundary in points:
+        for root in eigenvalues(st, gas, xi):
+            for probe in (root, dataclasses.replace(root, multiplicity=root.multiplicity - 1),
+                          dataclasses.replace(root, lam=root.lam + 1e-3)):
+                got = _probe(nonglancing_test, st, gas, probe, xi, boundary)
+                want = _probe(_reference_nonglancing, st, gas, probe, xi, boundary)
+                if isinstance(want[0], str):
+                    assert got == want, (kind, probe)
+                    errors.add(next(msg for msg in _NONGLANCING_ERRORS if msg in want[1]))
+                    continue
+                flags, deriv, velocities, majorant, vel_scale = want
+                assert (got.nonglancing, got.totally, got.incoming_count,
+                        got.outgoing_count) == flags, (kind, probe)
+                assert abs(got.derivative_value - deriv) <= 1e-12 * majorant, (kind, probe)
+                assert len(got.branch_velocities) == probe.multiplicity
+                assert np.max(np.abs(np.array(got.branch_velocities) - velocities)) <= (
+                    1e-13 * vel_scale), (kind, probe)
+                seen.add((kind, probe.multiplicity))
+    assert {("a", 2), ("b", 6), ("c", 2), ("B = 0", 6), ("equal, xi || B", 3),
+            ("equal, xi near B", 3)} <= seen
+    assert errors == set(_NONGLANCING_ERRORS)
+
+
+def test_nonglancing_rejects_a_multiplicity_the_spectrum_does_not_have(gas):
+    # the case-b sextuple passed as a double: the values within the band of
+    # lambda number six, a caller error raised as ValueError
+    rng = np.random.default_rng(52)
+    st, xi, boundary = _designed_point(rng, "b")
+    roots, regime = classify(st, gas, xi, boundary=boundary)
+    assert regime.case == "b"
+    sextuple = next(r for r in roots if r.multiplicity == 6)
+    with pytest.raises(ValueError, match="does not match the spectrum"):
+        nonglancing_test(st, gas, dataclasses.replace(sextuple, multiplicity=2), xi, boundary)
+
+
+def test_nonglancing_takes_no_second_merge_and_no_eight_by_eight_eigensolve(gas, monkeypatch):
+    # nonglancing_test reads the spectrum off the closed-form values and the
+    # eigenvectors off the frame blocks: no `_merged_roots` and no eigh or
+    # eigvalsh of an 8x8 matrix; classify's case-b count keeps its 8x8
+    # eigvalsh as the independent witness
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            shape = np.shape(args[0]) if name != "_merged_roots" else None
+            calls.append((name, shape))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(charstruct, "_merged_roots",
+                        counted("_merged_roots", charstruct._merged_roots))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(53)
+    for case in "abc" * 5:
+        st, xi, boundary = _designed_point(rng, case)
+        calls.clear()
+        roots, regime = classify(st, gas, xi, boundary=boundary)
+        assert ("_merged_roots", None) in calls
+        assert (("eigvalsh", (8, 8)) in calls) == (regime.case == "b")
+        for root in roots:
+            calls.clear()
+            nonglancing_test(st, gas, root, xi, boundary)
+            assert all(name != "_merged_roots" and shape != (8, 8) for name, shape in calls)
+            if root.families != ("entropy",):  # the m x m compression, seen by the counter
+                assert ("eigvalsh", (root.multiplicity,) * 2) in calls
