@@ -37,13 +37,15 @@ form (u.xi) I plus the symmetric blocks
 
 whose transposes fill the u-rho, u-theta and B-u blocks.  H is symmetric
 and linear in xi, so (Rellich) the slopes of the m branches through the
-root are the eigenvalues of an m x m compression.  Its m eigenvectors come
-in closed form from the paper's adapted blocks: in the orthonormal frame
-(xi_hat, t1, t2) of `tangent_basis`, H(xi_hat) - (u.xi_hat) I splits into
-a magnetoacoustic tridiagonal with off-diagonals (c0, b, -a) on
-(s, u.xi_hat, B.t1, u.t1), s = (c rho' + g theta')/c0, the Alfven pair
-(u.t2, B.t2) with off-diagonal -a, the entropy mode (g rho' - c theta')/c0
-and the div-B mode B.xi_hat.
+root are the eigenvalues of an m x m compression.  Both the compression
+and its m eigenvectors are written in an orthonormal frame (xi_hat, t1,
+t2) with t1 along the tangential field (`_frame_symbol`), where
+H(xi_hat) - (u.xi_hat) I is the paper's adapted block form: a
+magnetoacoustic tridiagonal with off-diagonals (c0, b, -a) on (s, u.xi_hat,
+B.t1, u.t1), s = (c rho' + g theta')/c0, the Alfven pair (u.t2, B.t2) with
+off-diagonal -a, the entropy mode (g rho' - c theta')/c0 and the div-B mode
+B.xi_hat.  So the eigenvectors come in closed form (`_root_vectors`), with
+no 8x8 eigensolve.
 """
 
 from __future__ import annotations
@@ -263,11 +265,12 @@ def eigenvalues(state: ThermoState, eos: EquationOfState, xi,
 
     A value within tol_merge * |xi| * max(c_f, |u|, 1) of the smallest value
     of its cluster merges into that root with summed multiplicity (see
-    `_merged_roots`); multiplicities always sum to 8.  Classification is
+    `_clusters`); multiplicities always sum to 8.  Classification is
     NotClassified; use `classify` for labels.
     """
     xi, xin = _check_xi(xi)
-    return _merged_roots(state, xi, xin, _wave_speeds(state, eos, xi, xin), tol_merge)
+    ws = _wave_speeds(state, eos, xi, xin)
+    return _merged_roots(state, xi, xin, ws, tol_merge, _speed_scale(ws, state))
 
 
 def _closed_form_values(state: ThermoState, xi: np.ndarray, xin: float,
@@ -286,31 +289,33 @@ def _closed_form_values(state: ThermoState, xi: np.ndarray, xin: float,
 
 
 def _merged_roots(state: ThermoState, xi: np.ndarray, xin: float, ws: WaveSpeeds,
-                  tol_merge: float = 1e-9, scale: float | None = None
-                  ) -> list[CharacteristicRoot]:
-    """`eigenvalues` from the caller's checked xi, |xi| and wave speeds, and
-    optionally its `_speed_scale`.
-
-    The sorted values group by anchor: a cluster opens at its smallest value
-    and takes every later value within the band of that anchor, so values
-    spaced just under the band do not chain into one root.
-    """
-    entries = sorted(_closed_form_values(state, xi, xin, ws), key=lambda t: t[0])
-    band = tol_merge * xin * (_speed_scale(ws, state) if scale is None else scale)
-
-    clusters: list[list[tuple[float, str, int]]] = []
-    for entry in entries:
-        if not clusters or entry[0] - clusters[-1][0][0] > band:
-            clusters.append([])
-        clusters[-1].append(entry)
-
-    roots = []
-    for cluster in clusters:
-        mult = sum(m for _, _, m in cluster)
-        roots.append(CharacteristicRoot(sum(v * m for v, _, m in cluster) / mult, mult,
-                                        tuple(sorted(f for _, f, _ in cluster))))
+                  tol_merge: float, scale: float) -> list[CharacteristicRoot]:
+    """`eigenvalues` from the caller's checked xi, |xi|, wave speeds and
+    `_speed_scale`: the clusters of `_clusters` in the band tol_merge |xi|
+    scale."""
+    roots = [CharacteristicRoot(lam, mult, tuple(sorted(families)))
+             for lam, mult, families in _clusters(
+                 _closed_form_values(state, xi, xin, ws), tol_merge * xin * scale)]
     assert sum(r.multiplicity for r in roots) == 8
     return roots
+
+
+def _clusters(values: list[tuple[float, str, int]], band: float
+              ) -> list[tuple[float, int, list[str]]]:
+    """The closed-form values grouped into roots (mean value, multiplicity,
+    families).  The sorted values group by anchor: a cluster opens at its
+    smallest value and takes every later value within the band of that
+    anchor, so values spaced just under the band do not chain into one root.
+    """
+    clusters: list[list] = []  # [anchor, sum of value x multiplicity, multiplicity, families]
+    for value, family, k in sorted(values, key=lambda t: t[0]):
+        if not clusters or value - clusters[-1][0] > band:
+            clusters.append([value, 0.0, 0, []])
+        cluster = clusters[-1]
+        cluster[1] += value * k
+        cluster[2] += k
+        cluster[3].append(family)
+    return [(total / mult, mult, families) for _, total, mult, families in clusters]
 
 
 def _polymul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -428,24 +433,24 @@ def tangent_basis(xi, B) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     xi, xin = _check_xi(xi)
     xi_hat = xi / xin
-    t1, t2, _ = _tangent_pair(xi_hat.tolist(), np.asarray(B, dtype=float).reshape(3).tolist())
+    t1, t2 = _tangent_pair(xi_hat.tolist(), np.asarray(B, dtype=float).reshape(3).tolist(), 1e-12)
     return xi_hat, np.array(t1), np.array(t2)
 
 
-def _tangent_pair(x: list[float], B: list[float]
-                  ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+def _tangent_pair(x: list[float], B: list[float], tol: float
+                  ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """t1 and t2 of `tangent_basis` for the components of a unit xi_hat and
-    of B, and whether t1 lies along the tangential field (False for the
-    Householder complement)."""
+    of B, with the Householder complement where |xi_hat x B| <= tol |B|."""
     x0, x1, x2 = x
     dot = x0 * B[0] + x1 * B[1] + x2 * B[2]
     perp = [Bi - dot * xi for Bi, xi in zip(B, x)]
-    along_field = math.hypot(*perp) > 1e-12 * math.hypot(*B)
-    if along_field:
-        # a second projection keeps t1 orthogonal to xi_hat to rounding even
-        # when the tangential field is small next to the first one's rounding
-        dot = x0 * perp[0] + x1 * perp[1] + x2 * perp[2]
-        t1 = _unit([p - dot * xi for p, xi in zip(perp, x)])
+    # a second projection keeps t1 orthogonal to xi_hat to rounding even
+    # when the tangential field is small next to the first one's rounding
+    dot = x0 * perp[0] + x1 * perp[1] + x2 * perp[2]
+    perp = [p - dot * xi for p, xi in zip(perp, x)]
+    norm = math.hypot(*perp)
+    if norm > tol * math.hypot(*B):
+        t1 = tuple([p / norm for p in perp])
     else:
         # column 2 of the Householder reflection I - 2 v v^T / (v.v),
         # v = xi_hat + sign(x0) e_1, which maps e_1 to -sign(x0) xi_hat
@@ -453,7 +458,36 @@ def _tangent_pair(x: list[float], B: list[float]
         scale = 2.0 * x1 / (v0 * v0 + x1 * x1 + x2 * x2)
         t1 = (-scale * v0, 1.0 - scale * x1, -scale * x2)
     t2 = (x1 * t1[2] - x2 * t1[1], x2 * t1[0] - x0 * t1[2], x0 * t1[1] - x1 * t1[0])
-    return t1, t2, along_field
+    return t1, t2
+
+
+def _frame_symbol(ws: WaveSpeeds, v) -> np.ndarray:
+    """H(v) - (u.v) I of `_symmetric_symbol` on the frame coordinates
+
+        (s, u.xi_hat, B.t1, u.t1, u.t2, B.t2, e, B.xi_hat),
+
+    s = (c rho' + g theta')/c0 and e = (g rho' - c theta')/c0 (c0^2 = c^2 +
+    g^2), for v = (v0, v1, v2) on the frame (xi_hat, t1, t2), t1 along the
+    tangential field so that B/sqrt(rho) = a xi_hat + b t1: the s-u block
+    c0 v and the u-B block v (a, b, 0)^T - (a v0 + b v1) I, the rest zero.
+    At v = (1, 0, 0) it is the zero-diagonal tridiagonal with off-diagonals
+    (c0, b, -a, 0, -a, 0, 0): the paper's adapted blocks, a magnetoacoustic
+    block on (s, u.xi_hat, B.t1, u.t1), the Alfven pair (u.t2, B.t2) and the
+    entropy and div-B modes.
+    """
+    a, b, c0 = ws.a, ws.b, ws.c0
+    v0, v1, v2 = v
+    bv = a * v0 + b * v1
+    return np.array([
+        [0.0, c0 * v0, 0.0, c0 * v1, c0 * v2, 0.0, 0.0, 0.0],
+        [c0 * v0, 0.0, b * v0, 0.0, 0.0, 0.0, 0.0, -b * v1],
+        [0.0, b * v0, 0.0, -a * v0, b * v2, 0.0, 0.0, 0.0],
+        [c0 * v1, 0.0, -a * v0, 0.0, 0.0, 0.0, 0.0, a * v1],
+        [c0 * v2, 0.0, b * v2, 0.0, 0.0, -bv, 0.0, a * v2],
+        [0.0, 0.0, 0.0, 0.0, -bv, 0.0, 0.0, 0.0],
+        [0.0] * 8,
+        [0.0, -b * v1, 0.0, a * v1, a * v2, 0.0, 0.0, 0.0],
+    ])
 
 
 def adapted_block_matrix(state: ThermoState, eos: EquationOfState, xi,
@@ -468,19 +502,12 @@ def adapted_block_matrix(state: ThermoState, eos: EquationOfState, xi,
     is `adapted_change_of_basis`.
     """
     ws = _wave_speeds(state, eos, *_check_xi(xi))
-    a, b, c0_sq = ws.a, ws.b, ws.c0**2
-    lt = float(lambda_tilde)
-    M = np.array([
-        [lt, -c0_sq, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [-1.0, lt, 0.0, 0.0, -b, 0.0, 0.0, 0.0],
-        [0.0, 0.0, lt, 0.0, a, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, lt, 0.0, a, 0.0, 0.0],
-        [0.0, -b, a, 0.0, lt, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, a, 0.0, lt, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, lt, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, lt],
-    ])
-    return M
+    # the frame block in the adapted order, x' = c0 s scaling the (s,
+    # u.xi_hat) pair to (c0^2, 1)
+    order = [0, 1, 3, 4, 2, 5, 6, 7]
+    A0 = _frame_symbol(ws, (1.0, 0.0, 0.0))[np.ix_(order, order)]
+    A0[0, 1], A0[1, 0] = ws.c0**2, 1.0
+    return float(lambda_tilde) * np.eye(8) - A0
 
 
 def adapted_change_of_basis(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:
@@ -638,43 +665,42 @@ def _unit(v) -> tuple[float, ...]:
     return tuple([x / norm for x in v])
 
 
-def _magnetoacoustic_vectors(mus: list[float], others: list[float], ws: WaveSpeeds,
-                             b: float) -> list[tuple[float, float, float, float]]:
-    """Orthonormal vectors spanning the eigenvectors of the magnetoacoustic
-    block T, the tridiagonal with zero diagonal and off-diagonals
-    (c0, b, -a) on (s, u.xi_hat, B.t1, u.t1), at its eigenvalues mus (among
-    +-c_s, +-c_f); others are its remaining eigenvalues.
+def _magnetoacoustic_vectors(mus: list[float], others: list[float], p: float, q: float,
+                             r: float) -> list[tuple[float, float, float, float]]:
+    """Orthonormal vectors spanning the eigenvectors of the zero-diagonal
+    symmetric tridiagonal T with off-diagonals (p, q, r) at its eigenvalues
+    mus; others are its remaining eigenvalues.
 
-    One eigenvalue: the column of adj(T - mu I) = prod(gaps) q q^T with the
-    largest diagonal entry.  More: the leading columns of the product of
-    T - o I over the others, orthonormalized; only their span is well
-    determined when the eigenvalues lie close together.  Both are
-    polynomials in the entries, so where an off-diagonal vanishes (a = 0 in
-    case b, b = 0 in case c and at the Householder frame) they give the
-    vectors of the decoupled blocks without a separate branch.
+    One eigenvalue mu: the column of adj(T - mu I) = prod(gaps) w w^T with
+    the largest diagonal entry; its entries are products of off-diagonals
+    and the leading and trailing principal minors of T - mu I.  More: the
+    leading columns of the product of T - o I over the others,
+    orthonormalized; only their span is well determined when the
+    eigenvalues lie close together.  Both are polynomials in the entries, so
+    where an off-diagonal vanishes they give the vectors of the decoupled
+    blocks without a separate branch.
     """
-    a, c0 = ws.a, ws.c0
-    a2, b2, c2 = a * a, b * b, c0 * c0
+    p2, q2, r2 = p * p, q * q, r * r
     if len(mus) == 1:
         mu = mus[0]
         m2 = mu * mu
-        adj = [(mu * (a2 + b2 - m2), c0 * (a2 - m2), -c0 * b * mu, c0 * a * b),
-               (c0 * (m2 - a2), mu * (m2 - a2), b * m2, -a * b * mu),
-               (c0 * b * mu, b * m2, mu * (m2 - c2), -a * (m2 - c2)),
-               (a * b * c0, a * b * mu, a * (m2 - c2), mu * (b2 + c2 - m2))]
+        adj = [(mu * (q2 + r2 - m2), p * (r2 - m2), -p * q * mu, -p * q * r),
+               (p * (r2 - m2), mu * (r2 - m2), -q * m2, -q * r * mu),
+               (-p * q * mu, -q * m2, mu * (p2 - m2), r * (p2 - m2)),
+               (-p * q * r, -q * r * mu, r * (p2 - m2), mu * (p2 + q2 - m2))]
         return [_unit(adj[max(range(4), key=lambda j: abs(adj[j][j]))])]
     # the range of the product of T - o I over the other eigenvalues o,
     # which vanishes on their eigenvectors: its leading columns, pivoted
     # Gram-Schmidt
     if len(others) == 2:
-        s, p = others[0] + others[1], others[0] * others[1]
-        cols = [(c2 + p, -s * c0, c0 * b, 0.0),
-                (-s * c0, c2 + b2 + p, -s * b, -a * b),
-                (c0 * b, -s * b, b2 + a2 + p, s * a),
-                (0.0, -a * b, s * a, a2 + p)]
+        s, t = others[0] + others[1], others[0] * others[1]
+        cols = [(p2 + t, -s * p, p * q, 0.0),
+                (-s * p, p2 + q2 + t, -s * q, q * r),
+                (p * q, -s * q, q2 + r2 + t, -s * r),
+                (0.0, q * r, -s * r, r2 + t)]
     elif others:
         o = others[0]
-        cols = [(-o, c0, 0.0, 0.0), (c0, -o, b, 0.0), (0.0, b, -o, -a), (0.0, 0.0, -a, -o)]
+        cols = [(-o, p, 0.0, 0.0), (p, -o, q, 0.0), (0.0, q, -o, r), (0.0, 0.0, r, -o)]
     else:
         cols = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
     vectors = []
@@ -686,15 +712,12 @@ def _magnetoacoustic_vectors(mus: list[float], others: list[float], ws: WaveSpee
     return vectors
 
 
-def _root_vectors(families, ws: WaveSpeeds, b: float) -> list[tuple[float, ...]]:
-    """Orthonormal eigenvectors of H(xi_hat) at a root made of `families`, as
-    coefficients on the frame coordinates (s, u.xi_hat, B.t1, u.t1, u.t2,
-    B.t2, e, B.xi_hat) with s = (c rho' + g theta')/c0 and e = (g rho' -
-    c theta')/c0.
-
-    In that frame H(xi_hat) - (u.xi_hat) I splits into the magnetoacoustic
-    block (`_magnetoacoustic_vectors`), the Alfven pair (u.t2, B.t2) with
-    off-diagonal -a, and the entropy mode e and div-B mode B.xi_hat at 0.
+def _root_vectors(families, ws: WaveSpeeds) -> list[tuple[float, ...]]:
+    """Orthonormal eigenvectors of `_frame_symbol` at xi_hat, the
+    tridiagonal with off-diagonals (c0, b, -a, 0, -a, 0, 0), at a root made
+    of `families`: its magnetoacoustic block (`_magnetoacoustic_vectors`) at
+    -+c_s and -+c_f, the Alfven pair with off-diagonal -a at -+a, and the
+    entropy and div-B modes at 0.
     """
     r = math.sqrt(0.5)
     vectors = []
@@ -709,7 +732,8 @@ def _root_vectors(families, ws: WaveSpeeds, b: float) -> list[tuple[float, ...]]
                        (FAMILY_FAST_M, -ws.c_f), (FAMILY_FAST_P, ws.c_f)):
         (mus if family in families else others).append(mu)
     if mus:
-        vectors += [v + (0.0,) * 4 for v in _magnetoacoustic_vectors(mus, others, ws, b)]
+        vectors += [v + (0.0,) * 4 for v in _magnetoacoustic_vectors(
+            mus, others, ws.c0, ws.b, -ws.a)]
     return vectors
 
 
@@ -726,24 +750,24 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
     formed, in scalar arithmetic on the quadratics T, F, C and X
     (`_glancing_coefficient`).  The derivative is normalized by the
     same-order tau derivative m! * prod_{j not in root}(lambda_j -
-    lambda_root), read off one walk over the seven closed-form values: the
-    values within 1e-9 |xi| vel_scale of the root make its multiplicity, the
-    others the product.  The two derivatives differ exactly by the product
-    of the branch group velocities, so the scale-relative tolerance 1e-8
-    acts in velocity units.  totally: all m branch group velocities
+    lambda_root), over the seven closed-form values merged as `eigenvalues`
+    merges them (`_clusters`); the root is the merged value within 1e-9 |xi|
+    vel_scale of root.lam.  The two derivatives differ exactly by the
+    product of the branch group velocities, so the scale-relative tolerance
+    1e-8 acts in velocity units.  totally: all m branch group velocities
     d(lambda)/d(xi_d) - sigma share one sign.  The velocities are exact:
     H(xi + t e_d) = H(xi) + t H(e_d), H = S^(1/2) A S^(-1/2) the symmetric
     symbol, so (Rellich) the m eigenvalue branches through the root are
     analytic in t and their slopes are the eigenvalues of W^T H(e_d) W, W the
-    m orthonormal eigenvectors of H(xi) at the root.  W comes in closed form
-    from the frame (xi_hat, t1, t2) of `tangent_basis`, in which H(xi_hat)
-    splits into the paper's adapted blocks (`_root_vectors`), and so does
-    the compression.  At the Householder frame the coupling b = |xi_hat x
-    B|/sqrt(rho), at most 1e-12 |B|/sqrt(rho) there, is dropped: the
-    velocities carry an error of that order.  The entropy double needs no
-    vectors: its branches are exactly lambda = u . xi, so both velocities
-    are u_d - sigma.  Raises ValueError when root.lam is not an eigenvalue
-    of multiplicity m at xi.
+    m orthonormal eigenvectors of H(xi) at the merged root's values.  Both
+    come from the
+    frame (xi_hat, t1, t2) with t1 along the tangential field wherever it is
+    nonzero (`_frame_symbol`): H(xi_hat) splits there into the paper's
+    adapted blocks, whose eigenvectors at the root are polynomials in their
+    entries (`_root_vectors`).  The entropy double needs no vectors: its
+    branches are exactly lambda = u . xi, so both velocities are u_d -
+    sigma.  Raises ValueError when root.lam is not an eigenvalue of
+    multiplicity m at xi.
     """
     if boundary is None:
         raise MissingBoundary("nonglancing_test requires boundary data")
@@ -753,27 +777,26 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         raise ValueError(f"derivative order capped at 6, got multiplicity {m}")
     d, sigma = boundary.axis, boundary.sigma
     ws = _wave_speeds(state, eos, xi, xin)
-    vel_scale = _speed_scale(ws, state, sigma)
+    scale = _speed_scale(ws, state)
+    vel_scale = max(scale, abs(sigma))
 
-    # same-order tau derivative of P at the root: the sigma shift cancels in
-    # the eigenvalue gaps
-    band = 1e-9 * xin * vel_scale
-    gap_product = math.factorial(m)
+    # same-order tau derivative of P at the root, over the other roots merged
+    # as `eigenvalues` merges them: the sigma shift cancels in the gaps
     values = _closed_form_values(state, xi, xin, ws)
-    inside = []
-    for entry in values:
-        if abs(entry[0] - root.lam) <= band:
-            inside.append(entry)
-        else:
-            gap_product *= (entry[0] - root.lam) ** entry[2]
-    found = sum(k for _, _, k in inside)
-    if found == 0:
+    gap_product = math.factorial(m)
+    matched = []
+    for lam, mult, families in _clusters(values, 1e-9 * xin * scale):
+        if abs(lam - root.lam) <= 1e-9 * xin * vel_scale:
+            if mult != m:
+                raise ValueError(
+                    f"root multiplicity {m} does not match the spectrum "
+                    f"(found {mult} at lambda = {lam})")
+            matched.append((abs(lam - root.lam), families))
+            continue
+        gap_product *= (lam - root.lam) ** mult
+    if not matched:
         raise ValueError(f"lambda = {root.lam} is not an eigenvalue at this xi")
-    if found != m:
-        inside.sort(key=lambda t: t[0])
-        raise ValueError(
-            f"root multiplicity {m} does not match the spectrum "
-            f"(found {found} at lambda = {sum(v * k for v, _, k in inside) / found})")
+    families = min(matched)[1]
     denom = abs(gap_product) * vel_scale**m
 
     # in the shift t of xi_d, at tau0 = sigma xi_d - lambda_root:
@@ -790,30 +813,16 @@ def nonglancing_test(state: ThermoState, eos: EquationOfState,
         [c0_sq * s for s in xi_sq], [h_sq * s - f for s, f in zip(xi_sq, xi_dot_B_sq)], m)
     nonglancing = abs(deriv) > 1e-8 * max(denom, 1e-300)
 
-    families = {f for _, f, _ in inside}
-    if families == {FAMILY_ENTROPY}:
+    if families == [FAMILY_ENTROPY]:
         # the entropy branches are exactly lambda = u . xi: both move at u_d
         velocities = [rel] * m
     else:
-        # W^T H(e_d) W in the frame: with e_d = alpha xi_hat + beta t1 +
-        # gamma t2 and B/sqrt(rho) = a xi_hat + b t1, H(e_d) - u_d I has the
-        # entries below on (s, u.xi_hat, B.t1, u.t1, u.t2, B.t2, e, B.xi_hat)
+        # W^T H(e_d) W on the frame coordinates, e_d = (xi_hat_d, t1_d, t2_d)
+        # on the frame (xi_hat, t1, t2)
         xi_hat = [c / xin for c in x]
-        t1, t2, along_field = _tangent_pair(xi_hat, state.B.tolist())
-        a, b, c0 = ws.a, (ws.b if along_field else 0.0), ws.c0
-        al, be, ga = xi_hat[d - 1], t1[d - 1], t2[d - 1]
-        b_d = a * al + b * be
-        H_d = np.array([
-            [0.0, c0 * al, 0.0, c0 * be, c0 * ga, 0.0, 0.0, 0.0],
-            [c0 * al, 0.0, b * al, 0.0, 0.0, 0.0, 0.0, -b * be],
-            [0.0, b * al, 0.0, -a * al, b * ga, 0.0, 0.0, 0.0],
-            [c0 * be, 0.0, -a * al, 0.0, 0.0, 0.0, 0.0, a * be],
-            [c0 * ga, 0.0, b * ga, 0.0, 0.0, -b_d, 0.0, a * ga],
-            [0.0, 0.0, 0.0, 0.0, -b_d, 0.0, 0.0, 0.0],
-            [0.0] * 8,
-            [0.0, -b * be, 0.0, a * be, a * ga, 0.0, 0.0, 0.0],
-        ])
-        W = np.array(_root_vectors(families, ws, b))
+        t1, t2 = _tangent_pair(xi_hat, state.B.tolist(), 0.0)
+        W = np.array(_root_vectors(families, ws))
+        H_d = _frame_symbol(ws, (xi_hat[d - 1], t1[d - 1], t2[d - 1]))
         velocities = (np.linalg.eigvalsh(W @ H_d @ W.T) + rel).tolist()
 
     vel_tol = 1e-8 * vel_scale

@@ -10,7 +10,8 @@ from mhdstab.errors import (
     SingularTransform,
     ZeroFrequency,
 )
-from mhdstab.thermo import EosEval, EquationOfState, IdealGas, ThermoState, sound_speed_sq
+from mhdstab.thermo import (
+    EosEval, EquationOfState, IdealGas, ThermoState, eval_eos, sound_speed_sq)
 from mhdstab.symbol import assemble_full_symbol, assemble_tilde_symbol, symmetrizer, unit_vector
 from mhdstab.charstruct import (
     BoundaryFrame,
@@ -523,13 +524,14 @@ def test_merged_roots_cluster_by_anchor_not_by_chain():
     st = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0, 0, 0])
     ws = WaveSpeeds(a=0.12, b=0.0, h=0.12, c0=1.0, c_s=0.06, c_f=0.18)
     xi = np.array([0.0, 0.0, 1.0])
-    roots = _merged_roots(st, xi, 1.0, ws, tol_merge=0.1)  # band = 0.1
+    roots = _merged_roots(st, xi, 1.0, ws, tol_merge=0.1, scale=1.0)  # band = 0.1
     assert [r.multiplicity for r in roots] == [2, 3, 2, 1]
     assert [r.families for r in roots] == [
         ("alfven-", "fast-"), ("entropy", "slow-"), ("alfven+", "slow+"), ("fast+",)]
     assert_allclose([r.lam for r in roots], [-0.15, -0.02, 0.09, 0.18], rtol=0, atol=1e-15)
     # at a band of 0.37 every value is within one band of the smallest
-    assert [r.multiplicity for r in _merged_roots(st, xi, 1.0, ws, tol_merge=0.37)] == [8]
+    assert [r.multiplicity for r in _merged_roots(
+        st, xi, 1.0, ws, tol_merge=0.37, scale=1.0)] == [8]
 
 
 # ----------------------------------------------------------------------------
@@ -993,25 +995,31 @@ def _reference_nonglancing(st, eos, root, xi, boundary):
     merged roots, the gap product over the other merged roots, the
     derivative from the stacked `_factored_char_poly` of quadratics built
     from the cross product, and the branch velocities from a full `eigh` of
-    H(xi) compressed onto the m eigenvectors nearest the root.  Returns the
+    H(xi) compressed onto the m eigenvectors at the root's place in the
+    ascending spectrum (the m nearest the root's mean need not be the
+    root's own when its values spread across the merge band).  Returns the
     result fields and the derivative's |.|-majorant."""
     xi = np.asarray(xi, dtype=float)
     xin = float(np.linalg.norm(xi))
     m, d, sigma = root.multiplicity, boundary.axis, boundary.sigma
+    if m > 6:
+        raise ValueError(f"derivative order capped at 6, got multiplicity {m}")
     ws = wave_speeds(st, eos, xi)
-    vel_scale = max(ws.c_f, float(np.linalg.norm(st.u)), abs(sigma), 1.0)
+    scale = max(ws.c_f, float(np.linalg.norm(st.u)), 1.0)
+    vel_scale = max(scale, abs(sigma))
     gap_product = math.factorial(m)
-    matched = False
-    for other in _merged_roots(st, xi, xin, ws):
+    matched, below = None, 0
+    for other in _merged_roots(st, xi, xin, ws, 1e-9, scale):
         if abs(other.lam - root.lam) <= 1e-9 * xin * vel_scale:
             if other.multiplicity != m:
                 raise ValueError(
                     f"root multiplicity {m} does not match the spectrum "
                     f"(found {other.multiplicity} at lambda = {other.lam})")
-            matched = True
+            matched = matched or (below, other.families)
             continue
         gap_product *= (other.lam - root.lam) ** other.multiplicity
-    if not matched:
+        below += other.multiplicity if matched is None else 0
+    if matched is None:
         raise ValueError(f"lambda = {root.lam} is not an eigenvalue at this xi")
 
     c0_sq = sound_speed_sq(eos, st)
@@ -1026,12 +1034,12 @@ def _reference_nonglancing(st, eos, root, xi, boundary):
     majorant = math.factorial(m) * _factored_char_poly(abs(T), -abs(F), -abs(C), -abs(X))[m]
     nonglancing = abs(deriv) > 1e-8 * max(abs(gap_product) * vel_scale**m, 1e-300)
 
-    if root.families == ("entropy",):
+    start, families = matched
+    if families == ("entropy",):
         velocities = np.full(m, rel)
     else:
         H, H_d = _symmetric_symbol(st, eos, xi, unit_vector(d))
-        w, V = np.linalg.eigh(H)
-        W = V[:, np.argsort(np.abs(w - root.lam))[:m]]
+        W = np.linalg.eigh(H)[1][:, start:start + m]
         velocities = np.linalg.eigvalsh(W.T @ H_d @ W) - sigma
     incoming = int(np.sum(velocities > 1e-8 * vel_scale))
     outgoing = int(np.sum(velocities < -1e-8 * vel_scale))
@@ -1039,7 +1047,8 @@ def _reference_nonglancing(st, eos, root, xi, boundary):
     return (nonglancing, totally, incoming, outgoing), deriv, velocities, majorant, vel_scale
 
 
-_NONGLANCING_ERRORS = ("does not match the spectrum", "is not an eigenvalue")
+_NONGLANCING_ERRORS = ("does not match the spectrum", "is not an eigenvalue",
+                       "derivative order capped")
 
 
 def _probe(fn, *args):
@@ -1050,19 +1059,31 @@ def _probe(fn, *args):
 
 
 def test_nonglancing_matches_the_eight_by_eight_reference(gas):
-    # designed points of cases a, b and c at axes 1-3 and the excluded
-    # regimes B = 0 and |B|^2 = rho c0^2 (xi generic, along B, and 1e-10 off
-    # B, where slow, Alfven and fast pass within 1e-10 of each other); every
-    # root as it is, with multiplicity m - 1 and with lambda shifted by 1e-3:
-    # the same verdicts, counts and errors as the 8x8 reference, the
-    # velocities within 1e-13 vel_scale and the derivative within 1e-12 of
-    # its majorant
+    # designed points of cases a, b and c at axes 1-3; xi 1e-13..1e-12 off B
+    # (t1 along the tangential field below tangent_basis's threshold)
+    # and 1e-14..1e-4 off the plane orthogonal to B (slow, Alfven and
+    # entropy values crowd at band edges); the excluded regimes B = 0 and
+    # |B|^2 = rho c0^2 (xi generic, along B, and 1e-10 off B, where slow,
+    # Alfven and fast pass within 1e-10 of each other); cold states whose
+    # values crowd within the merge band.  Every root as it is, with
+    # multiplicity m - 1 and with lambda shifted by 1e-3: the same verdicts,
+    # counts and errors as the 8x8 reference, the velocities within 1e-13
+    # vel_scale and the derivative within 1e-12 of its majorant
     rng = np.random.default_rng(51)
     points = []
     for case in "abc" * 8:
         st, xi, boundary = _designed_point(rng, case)
         points += [(case, st, xi, BoundaryFrame(axis=d, sigma=boundary.sigma))
                    for d in (1, 2, 3)]
+    for _ in range(20):
+        st, xi, boundary = _designed_point(rng, "c")
+        b_dir = st.B / np.linalg.norm(st.B)
+        tilt = np.cross(b_dir, rng.standard_normal(3))
+        points.append(("xi near B", st, b_dir + tilt * 10.0 ** rng.uniform(-13, -12)
+                       / np.linalg.norm(tilt), boundary))
+        st, xi, boundary = _designed_point(rng, "b")
+        points.append(("xi near B-perp", st, xi / np.linalg.norm(xi) + b_dir * 10.0
+                       ** rng.uniform(-14, -4), boundary))
     for _ in range(8):
         st, xi, boundary = _designed_point(rng, "a")
         b_dir = st.B / np.linalg.norm(st.B)
@@ -1074,6 +1095,11 @@ def test_nonglancing_matches_the_eight_by_eight_reference(gas):
                    ("equal", on_manifold, xi, boundary),
                    ("equal, xi || B", on_manifold, b_dir * np.linalg.norm(xi), boundary),
                    ("equal, xi near B", on_manifold, b_dir + tilt, boundary)]
+    for _ in range(30):
+        st = ThermoState(rho=1.0, u=rng.uniform(-3.0, 3.0, 3), theta=10.0 ** rng.uniform(-21, -17),
+                         B=rng.standard_normal(3) * 10.0 ** rng.uniform(-11, -8))
+        points.append(("cold", st, rng.standard_normal(3),
+                       BoundaryFrame(axis=int(rng.integers(1, 4)), sigma=0.2)))
     seen, errors = set(), set()
     for kind, st, xi, boundary in points:
         for root in eigenvalues(st, gas, xi):
@@ -1093,8 +1119,8 @@ def test_nonglancing_matches_the_eight_by_eight_reference(gas):
                 assert np.max(np.abs(np.array(got.branch_velocities) - velocities)) <= (
                     1e-13 * vel_scale), (kind, probe)
                 seen.add((kind, probe.multiplicity))
-    assert {("a", 2), ("b", 6), ("c", 2), ("B = 0", 6), ("equal, xi || B", 3),
-            ("equal, xi near B", 3)} <= seen
+    assert {("a", 2), ("b", 6), ("c", 2), ("xi near B", 2), ("B = 0", 6),
+            ("equal, xi || B", 3), ("equal, xi near B", 3), ("cold", 1)} <= seen
     assert errors == set(_NONGLANCING_ERRORS)
 
 
@@ -1141,3 +1167,81 @@ def test_nonglancing_takes_no_second_merge_and_no_eight_by_eight_eigensolve(gas,
             assert all(name != "_merged_roots" and shape != (8, 8) for name, shape in calls)
             if root.families != ("entropy",):  # the m x m compression, seen by the counter
                 assert ("eigvalsh", (root.multiplicity,) * 2) in calls
+
+
+def _frame_basis(st, eos, xi_hat, t1, t2):
+    """Q whose columns are the frame coordinates (s, u.xi_hat, B.t1, u.t1,
+    u.t2, B.t2, e, B.xi_hat) in the coordinates of `_symmetric_symbol`."""
+    ev = eval_eos(eos, st.rho, st.theta)
+    c = math.sqrt(ev.P_rho)
+    g = ev.P_theta * math.sqrt(st.theta / ev.e_theta) / st.rho
+    c0 = math.hypot(c, g)
+    Q = np.zeros((8, 8))
+    Q[[0, 4], 0] = c / c0, g / c0
+    Q[1:4, 1], Q[5:8, 2], Q[1:4, 3] = xi_hat, t1, t1
+    Q[1:4, 4], Q[5:8, 5] = t2, t2
+    Q[[0, 4], 6] = g / c0, -c / c0
+    Q[5:8, 7] = xi_hat
+    return Q
+
+
+@pytest.mark.parametrize("eos", [IdealGas(R=1.0, c_v=1.5), _QuadraticPressure()],
+                         ids=["ideal-gas", "quadratic-pressure"])
+def test_frame_symbol_is_the_symmetric_symbol_in_the_frame(eos):
+    # every entry of the frame block against Q^T (H(v) - (u.v) I) Q, Q the
+    # frame's orthonormal change of basis, at e_1, e_2, e_3 and at xi_hat,
+    # where it is the tridiagonal with off-diagonals (c0, b, -a, 0, -a, 0, 0)
+    rng = np.random.default_rng(54)
+    for k in range(30):
+        st = random_state(rng)
+        xi = random_xi(rng)
+        if k % 3 == 1:  # xi 1e-14..1e-6 off B
+            b_dir = st.B / np.linalg.norm(st.B)
+            xi = b_dir + np.cross(b_dir, xi) * 10.0 ** rng.uniform(-14, -6)
+        xi_hat = xi / np.linalg.norm(xi)
+        t1, t2 = charstruct._tangent_pair(xi_hat.tolist(), st.B.tolist(), 0.0)
+        Q = _frame_basis(st, eos, xi_hat, t1, t2)
+        assert_allclose(Q.T @ Q, np.eye(8), rtol=0, atol=1e-14)
+        ws = wave_speeds(st, eos, xi)
+        scale = max(ws.c0, ws.h)
+        for v in (unit_vector(1), unit_vector(2), unit_vector(3), xi_hat):
+            H = _symmetric_symbol(st, eos, v)[0] - (st.u @ v) * np.eye(8)
+            F = charstruct._frame_symbol(ws, (v @ xi_hat, v @ t1, v @ t2))
+            assert_allclose(F, Q.T @ H @ Q, rtol=0, atol=1e-13 * scale)
+        F = charstruct._frame_symbol(ws, (1.0, 0.0, 0.0))
+        off = [ws.c0, ws.b, -ws.a, 0.0, -ws.a, 0.0, 0.0]
+        assert np.array_equal(F, np.diag(off, 1) + np.diag(off, -1))
+
+
+def test_root_vectors_are_eigenvectors_of_the_frame_block(gas):
+    # the adjugate and product columns on the frame block's off-diagonals
+    # (c0, b, -a) span an invariant subspace of that block with the
+    # root's eigenvalues, for every merged root: at designed points, where
+    # slow, Alfven and fast coincide (xi || B, |B|^2 = rho c0^2) and on cold
+    # states whose values crowd within the merge band
+    rng = np.random.default_rng(55)
+    seen = set()
+    for k in range(48):
+        st, xi, _ = _designed_point(rng, "abc"[k % 3])
+        if k % 4 == 1:
+            b_dir = st.B / np.linalg.norm(st.B)
+            st = dataclasses.replace(st, B=math.sqrt(st.rho * sound_speed_sq(gas, st)) * b_dir)
+            xi = b_dir
+        elif k % 4 == 3:
+            st = dataclasses.replace(st, theta=1e-19, B=st.B * 1e-9)
+        ws = wave_speeds(st, gas, xi)
+        scale = max(ws.c0, ws.h)
+        F = charstruct._frame_symbol(ws, (1.0, 0.0, 0.0))
+        eig = {"slow-": -ws.c_s, "slow+": ws.c_s, "fast-": -ws.c_f, "fast+": ws.c_f,
+               "alfven-": -ws.a, "alfven+": ws.a, "entropy": 0.0}
+        for root in eigenvalues(st, gas, xi):
+            W = np.array(charstruct._root_vectors(root.families, ws))
+            m = root.multiplicity
+            assert W.shape == (m, 8)
+            assert_allclose(W @ W.T, np.eye(m), rtol=0, atol=1e-14)
+            K = W @ F @ W.T
+            assert_allclose(F @ W.T, W.T @ K, rtol=0, atol=1e-13 * scale)
+            want = sorted(eig[f] for f in root.families for _ in range(1 + (f == "entropy")))
+            assert_allclose(np.linalg.eigvalsh(K), want, rtol=0, atol=1e-13 * scale)
+            seen.add(m)
+    assert {1, 2, 3, 6} <= seen
