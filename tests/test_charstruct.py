@@ -1082,8 +1082,8 @@ def test_nonglancing_matches_the_eight_by_eight_reference(gas):
         points.append(("xi near B", st, b_dir + tilt * 10.0 ** rng.uniform(-13, -12)
                        / np.linalg.norm(tilt), boundary))
         st, xi, boundary = _designed_point(rng, "b")
-        points.append(("xi near B-perp", st, xi / np.linalg.norm(xi) + b_dir * 10.0
-                       ** rng.uniform(-14, -4), boundary))
+        points.append(("xi near B-perp", st, xi / np.linalg.norm(xi) + st.B / np.linalg.norm(
+            st.B) * 10.0 ** rng.uniform(-14, -4), boundary))
     for _ in range(8):
         st, xi, boundary = _designed_point(rng, "a")
         b_dir = st.B / np.linalg.norm(st.B)
