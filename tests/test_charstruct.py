@@ -1008,17 +1008,18 @@ def _reference_nonglancing(st, eos, root, xi, boundary):
     scale = max(ws.c_f, float(np.linalg.norm(st.u)), 1.0)
     vel_scale = max(scale, abs(sigma))
     gap_product = math.factorial(m)
-    matched, below = None, 0
+    matched, start = None, 0  # start: multiplicities below the root
     for other in _merged_roots(st, xi, xin, ws, 1e-9, scale):
         if abs(other.lam - root.lam) <= 1e-9 * xin * vel_scale:
             if other.multiplicity != m:
                 raise ValueError(
                     f"root multiplicity {m} does not match the spectrum "
                     f"(found {other.multiplicity} at lambda = {other.lam})")
-            matched = matched or (below, other.families)
+            matched = matched or other
             continue
         gap_product *= (other.lam - root.lam) ** other.multiplicity
-        below += other.multiplicity if matched is None else 0
+        if matched is None:
+            start += other.multiplicity
     if matched is None:
         raise ValueError(f"lambda = {root.lam} is not an eigenvalue at this xi")
 
@@ -1034,8 +1035,7 @@ def _reference_nonglancing(st, eos, root, xi, boundary):
     majorant = math.factorial(m) * _factored_char_poly(abs(T), -abs(F), -abs(C), -abs(X))[m]
     nonglancing = abs(deriv) > 1e-8 * max(abs(gap_product) * vel_scale**m, 1e-300)
 
-    start, families = matched
-    if families == ("entropy",):
+    if matched.families == ("entropy",):
         velocities = np.full(m, rel)
     else:
         H, H_d = _symmetric_symbol(st, eos, xi, unit_vector(d))
