@@ -65,13 +65,16 @@ block is 8x0.  The linearized jump conditions are
 
     N_right u_right - N_left u_left - psi_hat * b_f = 0,
 
-with N the normal-flux Jacobians of the conservation laws in
-(rho, u, theta, B) variables, b_f = s [q] + i eta . [f_tangential] the
-front coefficient, and the degenerate normal-induction row replaced by the
-linearized continuity of the normal field across the perturbed front,
-[B_d'] - i (eta . [B_tangential]) psi_hat = 0.  The front amplitude is
-eliminated by projecting the eight conditions onto the orthogonal
-complement of b_f, leaving a rank-7 operator on the 16-dimensional trace.
+with N the normal-flux Jacobians of the conservation laws in (rho, u,
+theta, B) variables, taken from the symbol as N = (dq/dv) A_d - Phi
+e_{B_d}^T, Phi = (0, B, u.B, u) the Powell column (`flux_jacobian`), so that
+the jump conditions and the sides linearize through one A_d; b_f = s [q] +
+i eta . [f_tangential] the front coefficient; and the degenerate
+normal-induction row replaced by the linearized continuity of the normal
+field across the perturbed front, [B_d'] - i (eta . [B_tangential]) psi_hat
+= 0.  The front amplitude is eliminated by projecting the eight conditions
+onto the orthogonal complement of b_f, leaving a rank-7 operator on the
+16-dimensional trace.
 """
 
 from __future__ import annotations
@@ -568,6 +571,12 @@ def _tangential_axes(d: int) -> tuple[int, int]:
     return axes[0], axes[1]
 
 
+# gamma_L at or below which E_minus is the continuation limit at eps_cont:
+# there the spectral gap closes and is not trusted.  A rule on the row's
+# gamma_L, apart from `_GAP_FLOOR`, a rule on the computed gap.
+_CONTINUATION_GAMMA = 1e-8
+
+
 def stable_subspace(G: np.ndarray, gamma_L: float,
                     a_d_inv: np.ndarray | None = None,
                     eps_cont: float = 1e-6) -> np.ndarray:
@@ -577,30 +586,30 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
     eigenvalues sorted first.  This is the per-point reference: scans take
     E_minus in closed form (see `_evaluate`) and come back here only for
     the rows the batch cannot trust.  At the hemisphere boundary (gamma_L =
-    0, extended to gamma_L <= 1e-8 where the gap is numerically
-    untrustable) the limit subspace is taken by continuation: the same
-    (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by -i
-    (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
+    0, extended to gamma_L <= `_CONTINUATION_GAMMA` where the gap is
+    numerically untrustable) the limit subspace is taken by continuation:
+    the same (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
+    -i (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
     Raises SpectralSplitFailure when the spectral gap min |Im mu| is below
-    the fixed threshold 1e-12 while gamma_L > 1e-8.
+    the fixed threshold 1e-12 while gamma_L > `_CONTINUATION_GAMMA`.
     """
     import scipy.linalg  # loaded only when the per-point path runs
 
     if gamma_L < 0.0:
         raise ValueError("gamma_L must be >= 0")
-    if gamma_L <= 1e-8:
+    if gamma_L <= _CONTINUATION_GAMMA:
         # At and just above the hemisphere boundary the spectral gap closes;
         # use the continuation limit along the (tau, eta) ray.
         if a_d_inv is None:
-            raise ValueError(
-                "gamma_L <= 1e-8 needs a_d_inv for the continuation limit")
+            raise ValueError(f"gamma_L <= {_CONTINUATION_GAMMA:g} needs a_d_inv "
+                             "for the continuation limit")
         G = G - 1j * (eps_cont - gamma_L) * a_d_inv
         gamma_L = eps_cont
     T, Z, sdim = scipy.linalg.schur(
         np.asarray(G, dtype=complex), output="complex",
         sort=lambda mu: mu.imag < 0.0)
     gap = float(np.min(np.abs(np.diag(T).imag)))
-    if gap < 1e-12 and gamma_L > 1e-8:
+    if gap < 1e-12 and gamma_L > _CONTINUATION_GAMMA:
         raise SpectralSplitFailure(
             f"stable/unstable splitting ambiguous: min |Im mu| = {gap:.3e} "
             f"at gamma_L = {gamma_L:.3e}")
@@ -862,7 +871,7 @@ def _evaluate(problem: _ScanProblem, kernel, P: np.ndarray,
     `kernel` does not vouch for it, or ker M has other than 8 sides - dim
     E_minus dimensions; so failures come from there.
     """
-    cont = P[:, 1] <= 1e-8  # as in stable_subspace
+    cont = P[:, 1] <= _CONTINUATION_GAMMA
     gamma = np.where(cont, eps_cont, P[:, 1])
     trusted = np.ones(len(P), dtype=bool)
     bases = []
@@ -1074,43 +1083,14 @@ def conserved_jacobian(v: np.ndarray, eos: EquationOfState) -> np.ndarray:
 
 
 def flux_jacobian(v: np.ndarray, eos: EquationOfState, k: int) -> np.ndarray:
-    """d flux_k / d (rho, u, theta, B), analytic."""
-    rho, u, theta, B = _split(v)
-    ev = eval_eos(eos, rho, theta)
-    e_rho = e_rho_consistent(ev, rho, theta)
-    kk = k - 1
-    ptot = ev.P + 0.5 * float(B @ B)
-    E = rho * (ev.e + 0.5 * float(u @ u)) + 0.5 * float(B @ B)
-    uB = float(u @ B)
-    I3 = np.eye(3)
-    J = np.zeros((8, 8))
-    # mass row
-    J[0, 0] = u[kk]
-    J[0, 1 + kk] = rho
-    # momentum rows
-    J[1:4, 0] = u * u[kk]
-    J[1 + kk, 0] += ev.P_rho
-    J[1:4, 1:4] = rho * (I3 * u[kk] + np.outer(u, I3[kk]))
-    J[1 + kk, 4] = ev.P_theta
-    for i in range(3):
-        for j in range(3):
-            J[1 + i, 5 + j] = B[j] * (1.0 if i == kk else 0.0) \
-                - (1.0 if i == j else 0.0) * B[kk] \
-                - B[i] * (1.0 if j == kk else 0.0)
-    # energy row
-    J[4, 0] = (ev.e + rho * e_rho + 0.5 * float(u @ u) + ev.P_rho) * u[kk]
-    J[4, 1:4] = rho * u * u[kk] - B * B[kk]
-    J[4, 1 + kk] += E + ptot
-    J[4, 4] = (rho * ev.e_theta + ev.P_theta) * u[kk]
-    J[4, 5:8] = 2.0 * B * u[kk] - u * B[kk]
-    J[4, 5 + kk] -= uB
-    # induction rows
-    for i in range(3):
-        for j in range(3):
-            J[5 + i, 1 + j] = (1.0 if j == kk else 0.0) * B[i] \
-                - (1.0 if i == j else 0.0) * B[kk]
-            J[5 + i, 5 + j] = u[kk] * (1.0 if i == j else 0.0) \
-                - u[i] * (1.0 if j == kk else 0.0)
+    """d flux_k / d (rho, u, theta, B) = (dq/dv) A_k - Phi e_{B_k}^T, from
+    the symbol A_k = A(U, e_k): the symmetrizable (Godunov-Powell) form
+    q_t + div F + Phi div B = 0, Phi = (0, B, u.B, u), has the primitive
+    coefficients A_k = (dq/dv)^{-1} (dF_k/dv + Phi e_{B_k}^T)."""
+    _, u, _, B = _split(v)
+    J = conserved_jacobian(v, eos) @ assemble_full_symbol(
+        ThermoState.from_array(v), eos, unit_vector(k))
+    J[:, 4 + k] -= np.concatenate([[0.0], B, [u @ B], u])
     return J
 
 
@@ -1368,10 +1348,13 @@ def shock_boundary_operator(shock: PlanarShock,
     N_r^{-1} b_f], [I_8, 0]] of it (Majda 1983; Blokhin & Trakhinin 2002),
     with sqrt(det(K^H K)) = g0 |k_perp|, g0 = sqrt(det(K0^H K0)) for K0 the
     constant first 8 columns and k_perp the part of the last orthogonal to
-    them; a fast shock's |D| is |w^H N_r^{-1} b_f| / (g0 |k_perp|).  N_r is
-    invertible where the downstream side is not characteristic, which its
-    `_Side` checks: det N_r = det(dq/dv) det A_d / u_d, det(dq/dv) = rho^4
-    e_theta > 0.
+    them; a fast shock's |D| is |w^H N_r^{-1} b_f| / (g0 |k_perp|), k =
+    N_r^{-1} b_f and k_perp each one product of b_f per row.  N =
+    (dq/dv) A_d - Phi e_{B_d}^T (`flux_jacobian`) takes the A_d that each
+    side's `_Side` takes, so with the normal-induction row replaced det N_r =
+    det(dq/dv) det A_d / u_d, det(dq/dv) = rho^4 e_theta > 0, holds by
+    construction: N_r is invertible where the downstream side is not
+    characteristic, which its `_Side` checks.
     """
     d = shock.axis
     eos = shock.eos
@@ -1425,18 +1408,12 @@ def shock_boundary_operator(shock: PlanarShock,
     Q0, R0 = np.linalg.qr(np.vstack([X, np.eye(8)]), mode="complete")
     g0 = abs(np.prod(np.diag(R0)))
     perp = Q0[:8, 8:].conj().T @ N_r_inv  # b_f -> k_perp in the basis Q0[:, 8:]
-    # b_f -> (k, k_perp) interleaved, k = N_r^{-1} b_f the last column of K
-    maps = np.stack([N_r_inv.T, perp.T], axis=-1).reshape(8, 16)
 
     def kernel(P: np.ndarray):  # K as the pair (X, k), see `_abs_det`
         b_f, ok = front(P)
         b_f = np.where(ok[:, None], b_f, 1.0)  # a stand-in where the per-point path takes over
-        k = b_f @ maps
-        # k stays a strided view only to keep the CLI outputs byte-identical:
-        # OpenBLAS sums w^H k over a strided k in the order the earlier
-        # (N, 8, 9) K did, and over a unit-stride k in another.  Another BLAS
-        # build may round either way; only the last digit of |D| moves.
-        return (X, k[:, 0::2, None]), g0 * np.linalg.norm(k[:, 1::2], axis=1), ok
+        k = b_f @ N_r_inv.T  # N_r^{-1} b_f, the last column of K
+        return (X, k[:, :, None]), g0 * np.linalg.norm(b_f @ perp.T, axis=1), ok
     op._kernel = kernel
     return op
 

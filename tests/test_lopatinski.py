@@ -392,6 +392,30 @@ def test_flux_jacobians_match_finite_differences(gas):
         assert_allclose(Jq, Jq_fd, atol=5e-8)
 
 
+def test_flux_jacobians_match_finite_differences_on_wide_states(gas):
+    # flux_jacobian is (dq/dv) A_k - Phi e_{B_k}^T; this checks it, the sign
+    # of the Powell column Phi included, against central differences of the
+    # fluxes over rho and theta in 1e-2..1e2 and |u|, |B| <= 10 on every
+    # axis, with steps on each component's own scale (the state's density,
+    # temperature, speed and field) and errors read against each column's
+    # largest entry; the worst error is below 1e-6 of it at these steps
+    rng = np.random.default_rng(54)
+    for _ in range(200):
+        st = random_state(rng)
+        v = st.as_array()
+        speed = (math.sqrt(st.theta) + np.linalg.norm(st.u)
+                 + np.linalg.norm(st.B) / math.sqrt(st.rho))
+        field = math.sqrt(st.rho) * speed
+        step = 1e-5 * np.array([st.rho, speed, speed, speed, st.theta, field, field, field])
+        cases = [(lambda w, k=k: flux_vector(w, gas, k), flux_jacobian(v, gas, k))
+                 for k in (1, 2, 3)]
+        cases.append((lambda w: conserved_vector(w, gas), conserved_jacobian(v, gas)))
+        for f, J in cases:
+            J_fd = np.column_stack([(f(v + h * e) - f(v - h * e)) / (2.0 * h)
+                                    for h, e in zip(step, np.eye(8))])
+            assert np.all(np.abs(J - J_fd).max(axis=0) <= 1e-5 * np.abs(J).max(axis=0))
+
+
 # ----------------------------------------------------------------------------
 # Rankine-Hugoniot
 # ----------------------------------------------------------------------------
@@ -1003,6 +1027,36 @@ def test_batched_scan_falls_back_on_defective_eigenvalue(gas, monkeypatch):
     assert len(fallbacks) == res.n_fallback == grid.n_points and not res.failures
     # shifting G by a multiple of I at the equator keeps its invariant subspaces
     want = lopatinski_det(stable_subspace(G0, 1.0), M).abs_D
+    assert_allclose([row[4] for row in res.rows], want, rtol=0, atol=1e-12)
+
+
+def test_ambiguous_split_is_per_point_failure_data(gas, monkeypatch):
+    # a real eigenvalue in the stand-in G of the outflow side (dimension 3),
+    # with A_d^{-1} = I: at gamma_L > 1e-8 its |Im mu| is at rounding level,
+    # so the per-point Schur split raises SpectralSplitFailure, which the
+    # scan records for that row alone; on the equator the continuation
+    # shift -i eps_cont I moves it to Im mu < 0 and the row evaluates
+    rng = np.random.default_rng(76)
+    S = rng.standard_normal((8, 8))
+    G0 = S @ np.diag([0.5, -1j, -2j, 1j, 2j, 3j, 4j, 5j]) @ np.linalg.inv(S)
+    side = _Side(OUTFLOW, gas, 3, 1e-10)
+    assert side.dim == 3
+    side.G = lambda zf: G0 if isinstance(zf, BoundaryFrequency) else np.repeat(
+        G0[None], len(zf), axis=0)
+    side.a_d_inv, side.closed_form = np.eye(8), False
+    M = BoundaryOperator.from_matrix(rng.standard_normal((3, 8)))
+    grid = _mixed_grid(30, 77)
+    fallbacks = _count_fallbacks(monkeypatch)
+    res = _scan(_ScanProblem((side,), M), grid, 1e-6, polish_rounds=0)
+    monkeypatch.undo()
+    P = grid._rows()
+    cont = P[:, 1] <= 1e-8
+    assert 0 < np.count_nonzero(cont) < len(P)
+    assert len(fallbacks) == res.n_fallback == grid.n_points
+    assert [f["index"] for f in res.failures] == np.flatnonzero(~cont).tolist()
+    assert {f["type"] for f in res.failures} == {"SpectralSplitFailure"}
+    assert [row[:4] for row in res.rows] == [tuple(row) for row in P[cont].tolist()]
+    want = lopatinski_det(stable_subspace(G0, 0.0, a_d_inv=np.eye(8)), M).abs_D
     assert_allclose([row[4] for row in res.rows], want, rtol=0, atol=1e-12)
 
 
