@@ -23,8 +23,9 @@ Conventions, fixed once here and used consistently:
     side.  The eigenvalues mu of a side's s G come in closed form: they are the
     roots of det((tau - i gamma) I + A(eta, -s mu)), the factored MHD
     dispersion polynomial of `charstruct._char_poly_factors` at a complex
-    xi, that is an entropy double and an Alfven pair linear in mu and a
-    magnetoacoustic quartic, solved by Ferrari and polished by Newton
+    xi (built here with one coefficient row per power, in the same
+    arithmetic), that is an entropy double and an Alfven pair linear in mu
+    and a magnetoacoustic quartic, solved by Ferrari and polished by Newton
     (`_Side.roots`).  A row whose roots `_Side.roots` does not vouch for,
     and every row of a side close to a characteristic boundary that needs
     its roots, takes the per-point path instead.
@@ -103,8 +104,7 @@ from .thermo import (
     eos_to_dict,
     eval_eos,
 )
-from .charstruct import (_char_poly_factors, _noncharacteristic, _normal_speeds, _polymul,
-                         wave_speeds)
+from .charstruct import _noncharacteristic, _normal_speeds, wave_speeds
 
 __all__ = [
     "BoundaryFrequency",
@@ -360,8 +360,10 @@ class _Side:
 
     def roots(self, P: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The eight eigenvalues of s G at each row (tau, ., eta1, eta2) of P
-        with the damping gamma in place of its gamma_L, and ok where the
-        closed form may be trusted.
+        with the damping gamma in place of its gamma_L, as (N, 8), and ok
+        where the closed form may be trusted.  The (N, 8) array is the
+        transpose of an (8, N) stack: each root's row runs along the N rows
+        of P, as every step here and every test across a row of mu does.
 
         mu is an eigenvalue of s G iff det((tau - i gamma) I + A(xi)) = 0 at
         the complex xi = (eta, -s mu), so the roots are those of the factors
@@ -369,8 +371,10 @@ class _Side:
         i gamma + u.xi and b = B/sqrt(rho): the entropy double tau_tilde = 0
         and the Alfven pair tau_tilde = +-xi.b are linear; the quartic Q =
         T^2 - (c0^2 + h^2) S T + c0^2 S F (T = tau_tilde^2, S = xi.xi, F =
-        (xi.b)^2) takes `_quartic_roots`.  For B = 0, where Q = T (T - c0^2 S)
-        has a double root, the quadratic T - c0^2 S takes `_quadratic_roots`.
+        (xi.b)^2), in the factored form (T - F)(T - c0^2 S) - (h^2 S - F) T
+        with its coefficient rows from `_polymul_rows`, takes
+        `_quartic_roots`.  For B = 0, where Q = T (T - c0^2 S) has a double
+        root, the quadratic T - c0^2 S takes `_quadratic_roots`.
         Two Newton steps polish those roots, with Q (or T - c0^2 S) evaluated
         through T, S and F: the expanded coefficients lose the slow roots
         crowding the entropy double at small |B| to cancellation.  A row is
@@ -381,42 +385,46 @@ class _Side:
         eta = P[:, 2:4]
         tau_hat = P[:, 0] - 1j * gamma + eta @ self.u_t
         l0 = eta @ self.b_t
-        eta_sq = np.sum(eta * eta, axis=1)
-        ones = np.ones(len(P))
-        # coefficients in mu (increasing powers) of tau_tilde, xi.b and S
-        tt = np.stack([tau_hat, -s * u_d * ones], axis=-1)
-        xb = np.stack([l0, -s * b_d * ones], axis=-1)
-        xi_sq = np.stack([eta_sq, 0.0 * ones, ones], axis=-1)
-        tau_sq, xb_sq, c0_xi_sq = _polymul(tt, tt), _polymul(xb, xb), c0_sq * xi_sq
+        eta_sq = (eta * eta).sum(axis=1)
+        # coefficients in mu (increasing powers, one row each) of tau_tilde,
+        # xi.b and S
+        tt, xb, xi_sq = np.empty((2, len(P)), complex), np.empty((2, len(P))), np.zeros((3, len(P)))
+        tt[0], tt[1] = tau_hat, -s * u_d
+        xi_sq[0], xi_sq[2] = eta_sq, 1.0
+        tau_sq, c0_xi_sq = _polymul_rows(tt, tt), c0_sq * xi_sq
         k = c0_sq + h_sq
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             if h_sq == 0.0:
                 poly = tau_sq - c0_xi_sq
-                mu = _quadratic_roots(poly[:, 1] / poly[:, 2], poly[:, 0] / poly[:, 2])
+                mu = _quadratic_roots(poly[1] / poly[2], poly[0] / poly[2])
             else:
-                mu = _quartic_roots(_char_poly_factors(
-                    tau_sq, xb_sq, c0_xi_sq, h_sq * xi_sq - xb_sq)[2])
+                xb[0], xb[1] = l0, -s * b_d
+                xb_sq = _polymul_rows(xb, xb)
+                # the magnetoacoustic factor of `charstruct._char_poly_factors`
+                poly = (_polymul_rows(tau_sq - xb_sq, tau_sq - c0_xi_sq)
+                        - _polymul_rows(h_sq * xi_sq - xb_sq, tau_sq))
+                mu = _quartic_roots(*(poly[:4] / poly[4]))
             for _ in range(2):
-                t = tau_hat[:, None] - s * u_d * mu
-                S = eta_sq[:, None] + mu * mu
-                T, dT = t * t, -2.0 * s * u_d * t
+                t = tau_hat - s * u_d * mu
+                S = eta_sq + mu * mu
+                T, dT, kS = t * t, -2.0 * s * u_d * t, k * S
                 if h_sq == 0.0:
                     value, slope = T - c0_sq * S, dT - 2.0 * c0_sq * mu
                 else:
-                    L = l0[:, None] - s * b_d * mu
+                    L = l0 - s * b_d * mu
                     F, dF = L * L, -2.0 * s * b_d * L
-                    value = T * (T - k * S) + c0_sq * S * F
-                    slope = (dT * (2.0 * T - k * S) - 2.0 * k * mu * T
+                    value = T * (T - kS) + c0_sq * S * F
+                    slope = (dT * (2.0 * T - kS) - 2.0 * k * mu * T
                              + c0_sq * (2.0 * mu * F + S * dF))
                 step = value / slope
                 mu = mu - step
-            ok = (np.all(np.isfinite(mu), axis=1)
-                  & np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(mu)), axis=1))
-            entropy = s * tau_hat / u_d
-            alfven = [(tau_hat - l0) / (s * (u_d - b_d)), (tau_hat + l0) / (s * (u_d + b_d))]
-        if h_sq == 0.0:
-            mu = np.column_stack([entropy, entropy, mu])
-        return np.column_stack([entropy, entropy, *alfven, mu]), ok
+            ok = (np.isfinite(mu) & (np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(mu)))).all(0)
+            roots = np.empty((8, len(P)), complex)
+            roots[:2] = roots[4:self.n_linear] = s * tau_hat / u_d
+            roots[2] = (tau_hat - l0) / (s * (u_d - b_d))
+            roots[3] = (tau_hat + l0) / (s * (u_d + b_d))
+        roots[self.n_linear:] = mu
+        return roots.T, ok
 
     def left_vector(self, P: np.ndarray, gamma: np.ndarray, mu: np.ndarray,
                     col: int) -> np.ndarray:
@@ -439,21 +447,10 @@ class _Side:
         xi = np.empty((len(P), 3), dtype=complex)
         xi[:, self.axes[0]] = P[:, 2:4]
         xi[:, self.axes[1]] = -self.sign * mu
-        x = np.zeros((len(P), 8), dtype=complex)
         with np.errstate(invalid="ignore", over="ignore"):
-            if col == 0:
-                x[:, 0], x[:, 4] = self.p_theta, -self.p_rho
-            elif col == 1:
-                x[:, 5:] = xi
-            elif col < 4 and self.h_sq:
-                v = np.cross(xi, self.b)
-                x[:, 1:4], x[:, 5:] = (5 - 2 * col) * v, math.sqrt(self.rho) * v
-            elif col < self.n_linear:
-                a = (np.argmax(np.abs(xi), axis=1) + 1 + col % 2) % 3
-                x[:, 1 + 4 * (col // 4) + np.arange(3)] = np.cross(xi, np.eye(3)[a])
-            else:
+            if col >= self.n_linear:
                 tt = P[:, 0] - 1j * gamma + xi @ self.u
-                m, S, T = xi @ self.b, np.sum(xi * xi, axis=1), tt * tt
+                m, S, T = xi @ self.b, (xi * xi).sum(axis=1), tt * tt
                 n1 = (T, -m * S, S * (T - m * m))
                 n2 = (self.c0_sq * m, T - (self.c0_sq + self.h_sq) * S, m * (T - self.h_sq * S))
                 first = np.abs(n1[0])**2 + np.abs(n1[1])**2 >= np.abs(n2[0])**2 + np.abs(n2[1])**2
@@ -461,8 +458,20 @@ class _Side:
                 v = alpha * xi + beta * self.b
                 x = np.concatenate([-self.rho * q, tt[:, None] * v, -self.kappa * q,
                                     math.sqrt(self.rho) * (m[:, None] * v - q * self.b)], axis=1)
+            else:
+                x = np.zeros((len(P), 8), dtype=complex)
+                if col == 0:
+                    x[:, 0], x[:, 4] = self.p_theta, -self.p_rho
+                elif col == 1:
+                    x[:, 5:] = xi
+                elif col < 4 and self.h_sq:
+                    v = np.cross(xi, self.b)
+                    x[:, 1:4], x[:, 5:] = (5 - 2 * col) * v, math.sqrt(self.rho) * v
+                else:
+                    a = (np.argmax(np.abs(xi), axis=1) + 1 + col % 2) % 3
+                    x[:, 1 + 4 * (col // 4) + np.arange(3)] = np.cross(xi, np.eye(3)[a])
             y = x @ self.sym_a_d
-            return y.conj() / np.linalg.norm(y, axis=1, keepdims=True)
+            return y.conj() / _row_norms(y)[:, None]
 
     def certificate(self, P: np.ndarray, gamma: np.ndarray, wh: np.ndarray,
                     nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -506,17 +515,17 @@ class _Side:
         rows = np.arange(len(mu))[:, None]
         top = n + np.argsort(-mu[:, n:].imag, axis=1, kind="stable")[:, :8 - self.dim - len(lin)]
         nu = np.concatenate([mu[:, lin], mu[rows, top]], axis=1)
-        wh = np.stack([self.left_vector(P, gamma, nu[:, j], col).conj() for j, col in
-                       enumerate([*lin, *[n] * top.shape[1]])], axis=1)
+        wh = np.empty((len(mu), 8 - self.dim, 8), complex)
+        for j, col in enumerate([*lin, *[n] * top.shape[1]]):
+            np.conjugate(self.left_vector(P, gamma, nu[:, j], col), out=wh[:, j])
         residual, g_norm = self.certificate(P, gamma, wh, nu)
-        stable = np.ones(mu.shape, dtype=bool)
-        stable[:, lin] = False
-        stable[rows, top] = False
-        gap = np.where(stable[:, None, :], np.abs(nu[:, :, None] - mu[:, None, :]), np.inf)
+        # the distance of each nu to the stable roots: inf at the unstable ones
+        gap = np.abs(nu[:, :, None] - mu[:, None, :])
+        to_root = gap.transpose(0, 2, 1)
+        to_root[:, lin] = to_root[rows, top] = np.inf
         bound = np.minimum(5e-14 * g_norm[:, None], 1e-12 * gap.min(axis=2))
-        ok = np.all(residual <= bound, axis=1)
-        # a failed row keeps a stand-in
-        wh = np.where(ok[:, None, None], wh, 8.0 ** -0.5)
+        ok = (residual <= bound).all(axis=1)
+        wh[~ok] = 8.0 ** -0.5  # a failed row keeps a stand-in
         if wh.shape[1] > 1:
             W, R = np.linalg.qr(wh.conj().transpose(0, 2, 1))
             r = np.abs(np.diagonal(R, axis1=1, axis2=2))
@@ -525,43 +534,63 @@ class _Side:
         return wh, ok
 
 
+def _polymul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`charstruct._polymul` along the first axis: the product of the
+    polynomials whose coefficients (increasing powers) are the rows of a
+    and b, summed in the same order, the first term to a zero."""
+    out = np.zeros((len(a) + len(b) - 1,) + b.shape[1:], dtype=np.result_type(a, b))
+    for i in range(len(a)):
+        out[i:i + len(b)] += a[i] * b
+    return out
+
+
 def _quadratic_roots(beta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """The roots of each y^2 + beta y + gamma, as (N, 2): the one of larger
+    """The roots of each y^2 + beta y + gamma, as (2, N): the one of larger
     modulus from the root formula with the sign that avoids cancellation,
     the other from the product gamma."""
     d = np.sqrt(beta * beta - 4.0 * gamma)
     d = np.where((beta.conj() * d).real >= 0.0, d, -d)
     y = -0.5 * (beta + d)
-    return np.column_stack([y, gamma / y])
+    return np.stack([y, gamma / y])
 
 
-def _quartic_roots(coef: np.ndarray) -> np.ndarray:
-    """The roots of each quartic of the (N, 5) coefficients (increasing
-    powers), as (N, 4), by Ferrari: with z = y - a3/4 the monic quartic
-    becomes y^4 + p y^2 + q y + r = (y^2 + p/2 + m)^2 - (sqrt(2m) y -
+# the cube roots of unity, by which Cardano's root turns into the other two
+_CUBE_ROOTS = np.exp(2j * np.pi / 3.0 * np.arange(3))[:, None]
+
+
+def _quartic_roots(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray,
+                   a3: np.ndarray) -> np.ndarray:
+    """The roots of each monic quartic z^4 + a3 z^3 + a2 z^2 + a1 z + a0 of
+    the (N,) coefficient columns, as (4, N), by Ferrari: with z = y - a3/4
+    it becomes y^4 + p y^2 + q y + r = (y^2 + p/2 + m)^2 - (sqrt(2m) y -
     q/(2 sqrt(2m)))^2 for a root m of the resolvent cubic m^3 + p m^2 +
-    (p^2/4 - r) m - q^2/8, and so splits into two quadratics.  m is the
-    root of largest modulus, by Cardano.  A quadruple root gives m = 0 and
-    non-finite roots."""
-    a0, a1, a2, a3 = (coef[:, :4] / coef[:, 4:]).T
+    (p^2/4 - r) m - q^2/8, and so splits into two quadratics, solved in one
+    stack.  m is the root of largest modulus, by Cardano.  A quadruple root
+    gives m = 0 and non-finite roots."""
     shift = 0.25 * a3
-    p = a2 - 6.0 * shift**2
+    shift_sq = shift**2
+    p = a2 - 6.0 * shift_sq
     q = a1 - 2.0 * a2 * shift + 8.0 * shift**3
-    r = a0 - a1 * shift + a2 * shift**2 - 3.0 * shift**4
+    r = a0 - a1 * shift + a2 * shift_sq - 3.0 * shift**4
     # the resolvent cubic, depressed by m = t - p/3: t^3 + P t + R
     P = -p * p / 12.0 - r
     R = -p**3 / 108.0 + p * r / 3.0 - q * q / 8.0
     d = np.sqrt(0.25 * R * R + P**3 / 27.0)
     w = -0.5 * R + np.where((R.conj() * d).real <= 0.0, d, -d)  # the larger |w|
     c = w ** (1.0 / 3.0)
-    c = np.where(c == 0.0, 1.0, c)[:, None] * np.exp(2j * np.pi / 3.0 * np.arange(3))
-    m = np.where(w[:, None] == 0.0, 0.0, c - P[:, None] / (3.0 * c)) - p[:, None] / 3.0
-    m = m[np.arange(len(m)), np.argmax(np.abs(m), axis=1)]
+    c = np.where(c == 0.0, 1.0, c) * _CUBE_ROOTS
+    m = np.where(w == 0.0, 0.0, c - P / (3.0 * c)) - p / 3.0
+    m = m[np.argmax(np.abs(m), axis=0), np.arange(len(a0))]
     s = np.sqrt(2.0 * m)
-    half = 0.5 * p + m
-    y = np.concatenate([_quadratic_roots(-s, half + q / (2.0 * s)),
-                        _quadratic_roots(s, half - q / (2.0 * s))], axis=1)
-    return y - shift[:, None]
+    half, slope = 0.5 * p + m, q / (2.0 * s)
+    y = _quadratic_roots(np.concatenate([-s, s]), np.concatenate([half + slope, half - slope]))
+    return (y.reshape(2, 2, -1) - shift).transpose(1, 0, 2).reshape(4, -1)
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of x, summed as `np.linalg.norm(x, axis=-1)`
+    sums it, without its checks."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=-1))
 
 
 def _tangential_axes(d: int) -> tuple[int, int]:
@@ -575,6 +604,13 @@ def _tangential_axes(d: int) -> tuple[int, int]:
 # there the spectral gap closes and is not trusted.  A rule on the row's
 # gamma_L, apart from `_GAP_FLOOR`, a rule on the computed gap.
 _CONTINUATION_GAMMA = 1e-8
+
+
+def _check_eps_cont(eps_cont: float) -> None:
+    """Raise ValueError unless eps_cont, the gamma_L at which a continuation
+    row takes its splitting, is finite and positive."""
+    if not (math.isfinite(eps_cont) and eps_cont > 0.0):
+        raise ValueError(f"eps_cont must be finite and positive, got {eps_cont}")
 
 
 def stable_subspace(G: np.ndarray, gamma_L: float,
@@ -591,8 +627,10 @@ def stable_subspace(G: np.ndarray, gamma_L: float,
     the same (tau, eta) evaluated at gamma_L = eps_cont, which shifts G by
     -i (eps_cont - gamma_L) A_d^{-1} (hence a_d_inv is required there).
     Raises SpectralSplitFailure when the spectral gap min |Im mu| is below
-    the fixed threshold 1e-12 while gamma_L > `_CONTINUATION_GAMMA`.
+    the fixed threshold 1e-12 while gamma_L > `_CONTINUATION_GAMMA`, and
+    ValueError unless eps_cont is finite and positive.
     """
+    _check_eps_cont(eps_cont)
     import scipy.linalg  # loaded only when the per-point path runs
 
     if gamma_L < 0.0:
@@ -768,10 +806,10 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
 
 
 # Rows per batched evaluation of the sweep.  `_evaluate`'s temporaries peak
-# (tracemalloc) at about 1.2 KB per row on a side with one left vector (a
-# fast shock, a dimension-7 inflow), 5 KB on a dimension-1 outflow and 6.5
-# KB on a slow shock (5 + 2), the worst measured side, so a chunk peaks at
-# about 6.5 MiB; no row builds its 1 KB s G.  By
+# (tracemalloc, 1024 rows) at about 1.3 KiB per row on a side with one left
+# vector (a fast shock, a dimension-7 inflow), 5.3 KiB on a dimension-1
+# outflow and 6.2 KiB on a slow shock (5 + 2), the worst measured side, so a
+# chunk peaks at about 6.2 MiB; no row builds its 1 KiB s G.  By
 # 1024 rows the per-call cost is spread thin on every measured side.
 # OpenBLAS rounds some rows differently in stacks of 4096, which moves |D|
 # in the 16th digit on the shipped configs.
@@ -781,6 +819,11 @@ _CHUNK = 1024
 # continuation row scales with eps_cont, so an eps_cont near or below the
 # floor sends equator rows to the per-point path.
 _GAP_FLOOR = 1e-8
+
+# the rows of the complement of E_minus at dimension 0 (all eight) or 8
+# (none), shared read-only by every scan
+_EYE = np.eye(8)
+_EYE.flags.writeable = False
 
 
 def _scan_kernel(operator: BoundaryOperator):
@@ -825,8 +868,11 @@ def _abs_det(rows, K, scale) -> np.ndarray:
             K = np.concatenate([np.concatenate([np.broadcast_to(X, shape + X.shape), k], axis=-1),
                                 np.broadcast_to(np.eye(8, 9), shape + (8, 9))], axis=-2)
     Z = [R @ K[..., 8 * i:8 * i + 8, :] for i, R in enumerate(rows)]
-    stack = np.broadcast_shapes(*(z.shape[:-2] for z in Z))
-    Z = np.concatenate([np.broadcast_to(z, stack + z.shape[-2:]) for z in Z], axis=-2)
+    if len(Z) == 1:
+        Z = Z[0]
+    else:  # the sides' rows on one stack
+        stack = np.broadcast_shapes(*(z.shape[:-2] for z in Z))
+        Z = np.concatenate([np.broadcast_to(z, stack + z.shape[-2:]) for z in Z], axis=-2)
     det = Z[..., 0, 0] if Z.shape[-1] == 1 else np.linalg.det(Z)
     return np.minimum(np.abs(det) / scale, 1.0)
 
@@ -871,46 +917,51 @@ def _evaluate(problem: _ScanProblem, kernel, P: np.ndarray,
     `kernel` does not vouch for it, or ker M has other than 8 sides - dim
     E_minus dimensions; so failures come from there.
     """
-    cont = P[:, 1] <= _CONTINUATION_GAMMA
-    gamma = np.where(cont, eps_cont, P[:, 1])
+    gamma = np.where(P[:, 1] <= _CONTINUATION_GAMMA, eps_cont, P[:, 1])
     trusted = np.ones(len(P), dtype=bool)
     bases = []
     for side in problem.sides:
-        # rows whose split needs eigenvalues; the factor 2 covers the rounding
+        # rows whose split needs eigenvalues: every row at damping 0, else
+        # those the bound does not clear; the factor 2 covers the rounding
         # of the bound and of the eigenvalues
-        need = gamma * side.damping < 2.0 * _GAP_FLOOR
+        every = side.damping == 0.0
+        need = slice(None) if every else gamma * side.damping < 2.0 * _GAP_FLOOR
         # the complement's rows at dimension 0 or 8, and the stand-in of a
         # side whose rows all go per point
-        W_h = np.eye(8)[side.dim:]
+        W_h = _EYE[side.dim:]
         if not side.closed_form:
-            trusted &= ~need
-        elif need.any():
+            trusted[need] = False
+        elif every or need.any():
             mu, ok = side.roots(P[need], gamma[need])
             if 0 < side.dim < 8:  # damping 0: every row is needed
                 W_h, certified = side.complement(P, gamma, mu)
                 ok &= certified
-            trusted[need] &= (ok & (np.count_nonzero(mu.imag < 0.0, axis=1) == side.dim)
-                              & (np.abs(mu.imag).min(axis=1) >= _GAP_FLOOR))
+            im = mu.imag
+            ok &= (im < 0.0).sum(axis=1) == side.dim
+            ok &= (np.abs(im) >= _GAP_FLOOR).all(axis=1)
+            trusted[need] &= ok
         bases.append(W_h)
     K, scale, ok = kernel(P)
     trusted &= ok
+    abs_D = np.zeros(len(P))
     if problem.operator.kernel_dim == 8 * len(problem.sides) - problem.expected_dim:
-        abs_D = np.broadcast_to(_abs_det(bases, K, scale), len(P)).copy()
+        abs_D[:] = _abs_det(bases, K, scale)
     else:  # no row can pass the dimension check
-        abs_D = np.zeros(len(P))
         trusted[:] = False
     errors = {}
-    for i in np.flatnonzero(~trusted):
+    untrusted = np.flatnonzero(~trusted)
+    for i in untrusted:
         try:
             abs_D[i] = _point_abs_D(problem, _frequency(P[i]), eps_cont)
         except MhdStabError as exc:
             abs_D[i] = np.nan
             errors[int(i)] = exc
-    return abs_D, errors, int(np.count_nonzero(~trusted))
+    return abs_D, errors, len(untrusted)
 
 
 def _scan(problem: _ScanProblem, grid, eps_cont: float,
           polish_rounds: int) -> ScanResult:
+    _check_eps_cont(eps_cont)
     if grid is None:
         grid = HemisphereGrid()
     P = grid._rows()
@@ -931,8 +982,8 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
                       "type": type(exc).__name__, "message": str(exc)}
                      for i, exc in errors.items()]
     ok = ~np.isnan(values)
-    rows = [(*row, abs_D, problem.expected_dim)
-            for row, abs_D in zip(P[ok].tolist(), values[ok].tolist())]
+    rows = list(zip(*P[ok].T.tolist(), values[ok].tolist(),
+                    itertools.repeat(problem.expected_dim)))
     histogram = np.bincount(np.minimum((values[ok] * 20.0).astype(int), 19),
                             minlength=20).tolist()
     min_abs = argmin = None
@@ -992,14 +1043,18 @@ def _polish_min(evaluate, zf0: BoundaryFrequency, abs0: float, rounds: int,
     center = np.array([zf0.tau, zf0.gamma_L, zf0.eta[0], zf0.eta[1]])
     best_val, best_zf = abs0, zf0
     n_eval = 0
+    frame = np.column_stack([center, np.eye(4)])
     for round_idx in range(rounds):
         # orthonormal tangent frame of the unit 3-sphere at the center
-        q, _ = np.linalg.qr(np.column_stack([center, np.eye(4)]))
+        frame[:, 0] = center
+        q, _ = np.linalg.qr(frame)
         # a matrix-vector and a dot product per point, as a point loop takes
         lattice = center + radius * (q[:, 1:4] @ _POLISH_OFFSETS[:, :, None])[..., 0]
         lattice[lattice[:, 1] < 1e-12, 1] = 0.0  # snap to the equator face
         norm = np.sqrt((lattice[:, None, :] @ lattice[:, :, None]).ravel())
-        lattice = lattice[norm != 0.0] / norm[norm != 0.0, None]
+        if not norm.all():
+            lattice, norm = lattice[norm != 0.0], norm[norm != 0.0]
+        lattice /= norm[:, None]
         n_eval += len(lattice)
         values, errors = evaluate(lattice)
         failures += [{"stage": "polish", "round": round_idx,
@@ -1027,7 +1082,9 @@ def uniform_scan(state: ThermoState, eos: EquationOfState, d: int, M,
     silently skipped; the reduction is by grid order, so results are
     deterministic.  The argmin polish runs `polish_rounds` rounds on a
     HemisphereGrid, starting from twice its equator spacing; other grids
-    are not polished.
+    are not polished.  eps_cont, the gamma_L at which an equator row takes
+    its splitting (see `stable_subspace`), must be finite and positive
+    (ValueError).
     """
     return _scan(_one_sided_problem(state, eos, d, M, tol_det), sampling,
                  eps_cont, polish_rounds)
@@ -1054,10 +1111,10 @@ def flux_vector(v: np.ndarray, eos: EquationOfState, k: int) -> np.ndarray:
     rho, u, theta, B = _split(v)
     ev = eval_eos(eos, rho, theta)
     kk = k - 1
-    ptot = ev.P + 0.5 * float(B @ B)
-    E = rho * (ev.e + 0.5 * float(u @ u)) + 0.5 * float(B @ B)
-    e_k = np.zeros(3)
-    e_k[kk] = 1.0
+    b_sq = 0.5 * float(B @ B)
+    ptot = ev.P + b_sq
+    E = rho * (ev.e + 0.5 * float(u @ u)) + b_sq
+    e_k = unit_vector(k)
     mass = rho * u[kk]
     mom = rho * u[kk] * u + ptot * e_k - B[kk] * B
     energy = (E + ptot) * u[kk] - float(u @ B) * B[kk]
@@ -1264,6 +1321,7 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
 
     scales = _rh_scales(left_vec, eos, d)
     rows = _rh_rows(d)
+    block = np.ix_(rows, rows)
     f_left = flux_vector(left_vec, eos, d)
 
     def residual(x: np.ndarray) -> np.ndarray:
@@ -1275,7 +1333,7 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
     def jacobian(x: np.ndarray) -> np.ndarray:
         # the unknowns are the primitive components of the same indices
         v = _pack_downstream(x, left_vec, d)
-        return flux_jacobian(v, eos, d)[np.ix_(rows, rows)] / scales[:, None]
+        return flux_jacobian(v, eos, d)[block] / scales[:, None]
 
     if seed_downstream is not None:
         x = seed_downstream.as_array()[rows]
@@ -1388,8 +1446,8 @@ def shock_boundary_operator(shock: PlanarShock,
         s = P[:, 1] + 1j * P[:, 0]
         b_f = s[:, None] * q_jump + 1j * (P[:, 2:3] * f_jump[t1] + P[:, 3:4] * f_jump[t2])
         b_f[:, b_row] = 1j * (P[:, 2] * bt_jump[0] + P[:, 3] * bt_jump[1])
-        zeta_scale = np.abs(s) + np.linalg.norm(P[:, 2:4], axis=1)
-        ok = np.linalg.norm(b_f, axis=1) > 1e-12 * np.maximum(zeta_scale * jump_scale, 1e-300)
+        zeta_scale = np.abs(s) + _row_norms(P[:, 2:4])
+        ok = _row_norms(b_f) > 1e-12 * np.maximum(zeta_scale * jump_scale, 1e-300)
         return b_f, ok
 
     def evaluate(zf: BoundaryFrequency) -> np.ndarray:
@@ -1411,9 +1469,9 @@ def shock_boundary_operator(shock: PlanarShock,
 
     def kernel(P: np.ndarray):  # K as the pair (X, k), see `_abs_det`
         b_f, ok = front(P)
-        b_f = np.where(ok[:, None], b_f, 1.0)  # a stand-in where the per-point path takes over
+        b_f[~ok] = 1.0  # a stand-in where the per-point path takes over
         k = b_f @ N_r_inv.T  # N_r^{-1} b_f, the last column of K
-        return (X, k[:, :, None]), g0 * np.linalg.norm(b_f @ perp.T, axis=1), ok
+        return (X, k[:, :, None]), g0 * _row_norms(b_f @ perp.T), ok
     op._kernel = kernel
     return op
 
@@ -1430,7 +1488,7 @@ def shock_scan(shock: PlanarShock, sampling=None, *, tol_det: float = 1e-10,
                eps_cont: float = 1e-6, polish_rounds: int = 6) -> ScanResult:
     """Hemisphere scan of the two-sided shock Lopatinski determinant.
 
-    Grid, polish and failure report as in `uniform_scan`.
+    Grid, polish, eps_cont and failure report as in `uniform_scan`.
     """
     return _scan(_shock_problem(shock, tol_det), sampling, eps_cont,
                  polish_rounds)

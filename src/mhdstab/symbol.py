@@ -37,6 +37,8 @@ IDX_U = slice(1, 4)
 IDX_THETA = 4
 IDX_B = slice(5, 8)
 
+_EYE3, _EYE8 = np.eye(3), np.eye(8)
+
 
 def unit_vector(d: int) -> np.ndarray:
     """Cartesian basis vector for a 1-based axis index d in {1, 2, 3}."""
@@ -60,7 +62,7 @@ def assemble_tilde_symbol(state: ThermoState, eos: EquationOfState, xi) -> np.nd
     Linear in xi; xi = 0 returns the zero matrix.
     """
     xi = np.asarray(xi, dtype=float).reshape(3)
-    if not np.all(np.isfinite(xi)):
+    if not np.isfinite(xi).all():
         raise ValueError("xi must be finite")
     ev = eval_eos(eos, state.rho, state.theta)
     rho, theta, B = state.rho, state.theta, state.B
@@ -70,16 +72,16 @@ def assemble_tilde_symbol(state: ThermoState, eos: EquationOfState, xi) -> np.nd
     A[IDX_RHO, IDX_U] = rho * xi
     A[IDX_U, IDX_RHO] = ev.P_rho / rho * xi
     A[IDX_U, IDX_THETA] = ev.P_theta / rho * xi
-    A[IDX_U, IDX_B] = (np.outer(xi, B) - B_dot_xi * np.eye(3)) / rho
+    A[IDX_U, IDX_B] = (xi[:, None] * B - B_dot_xi * _EYE3) / rho
     A[IDX_THETA, IDX_U] = ev.P_theta * theta / (rho * ev.e_theta) * xi
-    A[IDX_B, IDX_U] = np.outer(B, xi) - B_dot_xi * np.eye(3)
+    A[IDX_B, IDX_U] = B[:, None] * xi - B_dot_xi * _EYE3
     return A
 
 
 def assemble_full_symbol(state: ThermoState, eos: EquationOfState, xi) -> np.ndarray:
     """Full symbol A(U, xi) = (u . xi) I + A_tilde(U, xi)."""
     xi = np.asarray(xi, dtype=float).reshape(3)
-    return float(state.u @ xi) * np.eye(8) + assemble_tilde_symbol(state, eos, xi)
+    return float(state.u @ xi) * _EYE8 + assemble_tilde_symbol(state, eos, xi)
 
 
 def symmetrizer(state: ThermoState, eos: EquationOfState) -> np.ndarray:

@@ -19,7 +19,7 @@ from mhdstab.errors import (
 )
 from mhdstab.thermo import ThermoState, eval_eos, sound_speed_sq
 from mhdstab.symbol import assemble_full_symbol, boundary_matrix, unit_vector
-from mhdstab.charstruct import _normal_speeds, wave_speeds
+from mhdstab.charstruct import _char_poly_factors, _normal_speeds, _polymul, wave_speeds
 from mhdstab.lopatinski import (
     BoundaryFrequency,
     BoundaryOperator,
@@ -50,6 +50,7 @@ from mhdstab.lopatinski import (
     _one_sided_problem,
     _point_abs_D,
     _polish_min,
+    _row_norms,
     _scan,
     _scan_kernel,
     _shock_problem,
@@ -1758,3 +1759,174 @@ def test_batched_scan_matches_per_point_path_near_characteristic_sides(gas):
         assert np.all(error <= bounds), (label, error.max(), P[np.argmax(error / bounds)])
         print(f"  {family} {ratio:g} side {dim}: {len(P)} rows, {res.n_fallback} per point, "
               f"{len(failures)} failed")
+
+
+# ----------------------------------------------------------------------------
+# the batched kernel against the arithmetic it replaced, bit for bit
+# ----------------------------------------------------------------------------
+
+def _reference_quadratic_roots(beta, gamma):
+    d = np.sqrt(beta * beta - 4.0 * gamma)
+    d = np.where((beta.conj() * d).real >= 0.0, d, -d)
+    y = -0.5 * (beta + d)
+    return np.column_stack([y, gamma / y])
+
+
+def _reference_quartic_roots(coef):
+    a0, a1, a2, a3 = (coef[:, :4] / coef[:, 4:]).T
+    shift = 0.25 * a3
+    p = a2 - 6.0 * shift**2
+    q = a1 - 2.0 * a2 * shift + 8.0 * shift**3
+    r = a0 - a1 * shift + a2 * shift**2 - 3.0 * shift**4
+    P = -p * p / 12.0 - r
+    R = -p**3 / 108.0 + p * r / 3.0 - q * q / 8.0
+    d = np.sqrt(0.25 * R * R + P**3 / 27.0)
+    w = -0.5 * R + np.where((R.conj() * d).real <= 0.0, d, -d)
+    c = w ** (1.0 / 3.0)
+    c = np.where(c == 0.0, 1.0, c)[:, None] * np.exp(2j * np.pi / 3.0 * np.arange(3))
+    m = np.where(w[:, None] == 0.0, 0.0, c - P[:, None] / (3.0 * c)) - p[:, None] / 3.0
+    m = m[np.arange(len(m)), np.argmax(np.abs(m), axis=1)]
+    s = np.sqrt(2.0 * m)
+    half = 0.5 * p + m
+    y = np.concatenate([_reference_quadratic_roots(-s, half + q / (2.0 * s)),
+                        _reference_quadratic_roots(s, half - q / (2.0 * s))], axis=1)
+    return y - shift[:, None]
+
+
+def _reference_roots(side, P, gamma):
+    """`_Side.roots` as it was written on the (N, k) coefficient stacks of
+    `charstruct._polymul` and `_char_poly_factors`: the scan's roots must
+    keep every bit of it."""
+    s, u_d, b_d, c0_sq, h_sq = side.sign, side.u_d, side.b_d, side.c0_sq, side.h_sq
+    eta = P[:, 2:4]
+    tau_hat = P[:, 0] - 1j * gamma + eta @ side.u_t
+    l0 = eta @ side.b_t
+    eta_sq = np.sum(eta * eta, axis=1)
+    ones = np.ones(len(P))
+    tt = np.stack([tau_hat, -s * u_d * ones], axis=-1)
+    xb = np.stack([l0, -s * b_d * ones], axis=-1)
+    xi_sq = np.stack([eta_sq, 0.0 * ones, ones], axis=-1)
+    tau_sq, xb_sq, c0_xi_sq = _polymul(tt, tt), _polymul(xb, xb), c0_sq * xi_sq
+    k = c0_sq + h_sq
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        if h_sq == 0.0:
+            poly = tau_sq - c0_xi_sq
+            mu = _reference_quadratic_roots(poly[:, 1] / poly[:, 2], poly[:, 0] / poly[:, 2])
+        else:
+            mu = _reference_quartic_roots(_char_poly_factors(
+                tau_sq, xb_sq, c0_xi_sq, h_sq * xi_sq - xb_sq)[2])
+        for _ in range(2):
+            t = tau_hat[:, None] - s * u_d * mu
+            S = eta_sq[:, None] + mu * mu
+            T, dT = t * t, -2.0 * s * u_d * t
+            if h_sq == 0.0:
+                value, slope = T - c0_sq * S, dT - 2.0 * c0_sq * mu
+            else:
+                L = l0[:, None] - s * b_d * mu
+                F, dF = L * L, -2.0 * s * b_d * L
+                value = T * (T - k * S) + c0_sq * S * F
+                slope = (dT * (2.0 * T - k * S) - 2.0 * k * mu * T
+                         + c0_sq * (2.0 * mu * F + S * dF))
+            step = value / slope
+            mu = mu - step
+        ok = (np.all(np.isfinite(mu), axis=1)
+              & np.all(np.abs(step) <= 1e-13 * np.maximum(1.0, np.abs(mu)), axis=1))
+        entropy = s * tau_hat / u_d
+        alfven = [(tau_hat - l0) / (s * (u_d - b_d)), (tau_hat + l0) / (s * (u_d + b_d))]
+    if h_sq == 0.0:
+        mu = np.column_stack([entropy, entropy, mu])
+    return np.column_stack([entropy, entropy, *alfven, mu]), ok
+
+
+def _reference_complement(side, P, gamma, mu):
+    """`_Side.complement`'s root selection, stacking and gap test as they
+    were written, on the same left vectors and certificate."""
+    lin, n = side.unstable_linear, side.n_linear
+    rows = np.arange(len(mu))[:, None]
+    top = n + np.argsort(-mu[:, n:].imag, axis=1, kind="stable")[:, :8 - side.dim - len(lin)]
+    nu = np.concatenate([mu[:, lin], mu[rows, top]], axis=1)
+    wh = np.stack([side.left_vector(P, gamma, nu[:, j], col).conj() for j, col in
+                   enumerate([*lin, *[n] * top.shape[1]])], axis=1)
+    residual, g_norm = side.certificate(P, gamma, wh, nu)
+    stable = np.ones(mu.shape, dtype=bool)
+    stable[:, lin] = False
+    stable[rows, top] = False
+    gap = np.where(stable[:, None, :], np.abs(nu[:, :, None] - mu[:, None, :]), np.inf)
+    bound = np.minimum(5e-14 * g_norm[:, None], 1e-12 * gap.min(axis=2))
+    ok = np.all(residual <= bound, axis=1)
+    wh = np.where(ok[:, None, None], wh, 8.0 ** -0.5)
+    if wh.shape[1] > 1:
+        W, R = np.linalg.qr(wh.conj().transpose(0, 2, 1))
+        r = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        ok &= r.min(axis=1) >= 1e-6 * r.max(axis=1)
+        wh = W.conj().transpose(0, 2, 1)
+    return wh, ok
+
+
+def _bit_cases(gas):
+    """(label, side) for every side of the random-problem oracle and of the
+    Mach-2 shock at |B| in {0.1, 1e-2, 1e-3, 1e-5, 0}, and rows (P, gamma):
+    a hemisphere grid and a mixed grid, their equator rows at gamma =
+    eps_cont as the scan's continuation takes them."""
+    problems, _ = _random_problems(gas, np.random.default_rng(2))
+    cases = [(f"{label} #{i}", side) for i, (label, problem) in enumerate(problems)
+             for side in problem.sides]
+    for b in (0.1, 1e-2, 1e-3, 1e-5, 0.0):
+        sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[b, 0, 0]),
+                              family="fast", mach=2.0, d=3)
+        cases += [(f"Mach-2 |B| = {b} {name}", side)
+                  for name, side in zip(("right", "left"), _shock_problem(sh, 1e-10).sides)]
+    P = np.concatenate([HemisphereGrid(2, 20, 2)._rows(), _mixed_grid(24, 91)._rows()])
+    assert np.count_nonzero(P[:, 1] == 0.0) >= 40
+    return cases, P, np.where(P[:, 1] <= 1e-8, 1e-6, P[:, 1])
+
+
+def _same(a, b):
+    """Equal bit for bit, NaN payloads and the signs of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_closed_form_roots_and_complement_keep_their_bits(gas):
+    cases, P, gamma = _bit_cases(gas)
+    n_complement = 0
+    for label, side in cases:
+        mu, ok = side.roots(P, gamma)
+        want_mu, want_ok = _reference_roots(side, P, gamma)
+        assert _same(mu, want_mu) and _same(ok, want_ok), label
+        if 0 < side.dim < 8:
+            wh, certified = side.complement(P, gamma, mu)
+            want_wh, want_certified = _reference_complement(side, P, gamma, mu)
+            assert _same(wh, want_wh) and _same(certified, want_certified), label
+            n_complement += 1
+    assert n_complement >= 40
+
+
+def test_row_norms_sum_as_linalg_norm():
+    rng = np.random.default_rng(93)
+    for shape in ((1, 8), (124, 8), (7, 2)):
+        x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+        z = x + 1j * rng.standard_normal(shape)
+        for a in (x, z):
+            assert _same(_row_norms(a), np.linalg.norm(a, axis=1))
+
+
+@pytest.mark.parametrize("eps_cont", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_scans_and_stable_subspace_reject_a_bad_continuation_epsilon(gas, eps_cont):
+    # an equator row takes its splitting at gamma_L = eps_cont: NaN or inf
+    # broke every scan with a numpy broadcast error, and 0 or a negative
+    # value sent every equator row to the failures as SpectralSplitFailure
+    grid = HemisphereGrid(1, 10, 1)
+    M = np.random.default_rng(0).standard_normal((n_positive(SUBSONIC_STATE, gas, 3), 8))
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    side = _Side(SUBSONIC_STATE, gas, 3, 1e-10)
+    zf = BoundaryFrequency(0.6, 0.0, [0.8, 0.0])
+    for call in (lambda: uniform_scan(SUBSONIC_STATE, gas, 3, M, grid, eps_cont=eps_cont,
+                                      polish_rounds=0),
+                 lambda: shock_scan(sh, grid, eps_cont=eps_cont, polish_rounds=0),
+                 lambda: stable_subspace(side.G(zf), 0.0, a_d_inv=side.a_d_inv,
+                                         eps_cont=eps_cont),
+                 lambda: stable_subspace(side.G(zf), 0.5, eps_cont=eps_cont)):
+        with pytest.raises(ValueError, match="eps_cont must be finite and positive"):
+            call()

@@ -1,7 +1,9 @@
 """tools/compare_outputs.py reports identical files, numeric movement per
-field and every other difference."""
+field and every other difference; tools/stage_times.py times every stage
+of the batched scan."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +47,20 @@ def test_compare_outputs_reports_per_field_movement(tmp_path):
     (b / "sub" / "scan.csv").write_bytes((a / "sub" / "scan.csv").read_bytes())
     assert _compare(a, b)[0] == 0
     assert _compare(a, a / "same.csv")[0] == 2
+
+
+def test_stage_times_prints_every_stage_of_every_input():
+    tool = TOOL.parent / "stage_times.py"
+    env = dict(os.environ, PYTHONPATH=str(TOOL.parents[1] / "src"))
+    run = subprocess.run([sys.executable, str(tool), "--repeat", "1", "--sizes", "1", "3"],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    header, *lines = run.stdout.splitlines()
+    assert header.split()[:8] == ["input", "N", "evaluate", "roots", "complement",
+                                  "certificate", "kernel", "abs_det"]
+    assert [line.rsplit(None, 7)[0] for line in lines] == [
+        "shock |B|=0.01", "shock |B|=0.01", "shock B=0", "shock B=0", "inflow", "inflow"]
+    for line, n in zip(lines, [1, 3] * 3):
+        fields = line.rsplit(None, 7)[1:]
+        assert int(fields[0]) == n
+        assert all(float(t) > 0.0 for t in fields[1:])
