@@ -27,14 +27,15 @@ import numpy as np
 from .charstruct import BoundaryFrame, classification_record, classify, wave_speeds
 from .errors import ConfigError, MhdStabError
 from .lopatinski import (
+    _CHUNK,
     _GAP_FLOOR,
     _LAX_PATTERNS,
     _Side,
     BoundaryFrequency,
+    BoundaryOperator,
     GasShockSpec,
     HemisphereGrid,
     PlanarShock,
-    ScanResult,
     b_to_zero_study,
     rankine_hugoniot,
     shock_scan,
@@ -307,13 +308,32 @@ def write_json(path: Path, obj: dict) -> None:
                     encoding="utf-8")
 
 
+# A column whose runs of bit-equal values average at least this many rows
+# is formatted once per run, into the run's line format.
+_RUN_ROWS = 8
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
     """One line per row, every value as "%.17g": a float as f"{x:.17g}"
-    (-0, nan and inf included), an integer below 2**53 exactly as str()."""
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    (-0, nan and inf included), an integer below 2**53 exactly as str().
+
+    The rows, equal-length sequences or a 2-D array, are read as one float
+    array, which holds those integers exactly.  They are cut into runs of
+    at most `_CHUNK` rows wherever a column of long bit-equal runs changes;
+    such a column goes into the run's line format as text, and one `%`
+    formats the other columns of the whole run."""
+    table = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    changed = np.diff(np.ascontiguousarray(table).view(np.uint64), axis=0) != 0
+    fixed = (1 + np.count_nonzero(changed, axis=0)) * _RUN_ROWS <= len(table)
+    cuts = np.flatnonzero(changed[:, fixed].any(axis=1)) + 1
+    edges = np.union1d(cuts, np.arange(0, len(table), _CHUNK)).tolist() + [len(table)]
+    free = table[:, ~fixed]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        for start, stop in zip(edges, edges[1:]):
+            line = ",".join("%.17g" % v if f else "%.17g"
+                            for v, f in zip(table[start].tolist(), fixed)) + "\n"
+            fh.write(line * (stop - start) % tuple(free[start:stop].ravel().tolist()))
 
 
 # ----------------------------------------------------------------------------
@@ -379,13 +399,16 @@ def cmd_classify(cfg: dict, out: Path) -> int:
     return 0 if n_errors == 0 else 1
 
 
-def _build_scan(cfg: dict, eos: EquationOfState, grid, scan_kwargs: dict) -> ScanResult:
+def _scanner(cfg: dict, eos: EquationOfState, scan_kwargs: dict):
+    """The config's scan problem, parsed and built once: a grid -> ScanResult
+    function through `uniform_scan` or `shock_scan`."""
     has_boundary = "boundary" in cfg
     has_shock = "shock" in cfg
     if has_boundary == has_shock:
         _fail("config", "exactly one of 'boundary' or 'shock' is required for scan")
     if has_shock:
-        return shock_scan(_parse_shock(cfg["shock"], eos), grid, **scan_kwargs)
+        shock = _parse_shock(cfg["shock"], eos)
+        return lambda grid: shock_scan(shock, grid, **scan_kwargs)
     b = _expect_dict(cfg["boundary"], "boundary")
     state = _parse_state(_get(b, "state", "boundary"), "boundary.state")
     axis = _parse_axis(b, "boundary")
@@ -404,7 +427,8 @@ def _build_scan(cfg: dict, eos: EquationOfState, grid, scan_kwargs: dict) -> Sca
     else:
         _fail("boundary.operator.kind",
               f"unknown kind {kind!r} (expected 'matrix' or 'frozen-complement')")
-    return uniform_scan(state, eos, axis, M, grid, **scan_kwargs)
+    operator = BoundaryOperator.from_matrix(M)
+    return lambda grid: uniform_scan(state, eos, axis, operator, grid, **scan_kwargs)
 
 
 def _converged(base: float | None, fine: float | None, tol: float) -> bool:
@@ -415,12 +439,13 @@ def _converged(base: float | None, fine: float | None, tol: float) -> bool:
 
 def cmd_scan(cfg: dict, out: Path, refine: int = 1, allow_partial: bool = False) -> int:
     eos, grid, scan_kwargs, conv_tol = _parse_scan_settings(cfg)
-    result = _build_scan(cfg, eos, grid, scan_kwargs)
+    scan = _scanner(cfg, eos, scan_kwargs)
+    result = scan(grid)
     result.write_csv(out / "scan.csv")
     summary = result.summary()
 
     if refine > 1:
-        refined = _build_scan(cfg, eos, grid.refined(refine), scan_kwargs)
+        refined = scan(grid.refined(refine))
         refined.write_csv(out / "scan_refined.csv")
         base, fine = result.min_abs_D, refined.min_abs_D
         converged = _converged(base, fine, conv_tol)

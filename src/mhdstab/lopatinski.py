@@ -748,14 +748,15 @@ class ScanResult:
 
     min_abs_D/argmin report the polished minimum when the argmin-polish
     stage is enabled; the raw sweep minimum is kept alongside.  CSV rows
-    are the sweep only.
+    are the sweep only: `_table` holds them as an (n, 6) float array
+    (tau, gamma_L, eta1, eta2, abs_D, dim_Eminus), and `rows` lists them.
     """
 
     min_abs_D: float | None
     argmin: BoundaryFrequency | None
     sweep_min_abs_D: float | None
     sweep_argmin: BoundaryFrequency | None
-    rows: list[tuple]
+    _table: np.ndarray
     failures: list[dict]
     histogram: list[int]
     expected_dim: int
@@ -764,11 +765,16 @@ class ScanResult:
     polish: dict
     n_fallback: int  # sweep and polish rows evaluated on the per-point path
 
+    @property
+    def rows(self) -> list[tuple]:
+        """The CSV rows as tuples: five floats, then dim_Eminus as an int."""
+        dim = self.expected_dim
+        return [(*row[:5], dim) for row in self._table.tolist()]
+
     def write_csv(self, path) -> None:
         from .cli import write_csv  # the CLI's writer; cli imports this module
 
-        write_csv(path, ["tau", "gamma_L", "eta1", "eta2", "abs_D", "dim_Eminus"],
-                  self.rows)
+        write_csv(path, ["tau", "gamma_L", "eta1", "eta2", "abs_D", "dim_Eminus"], self._table)
 
     def summary(self) -> dict:
         return {
@@ -781,7 +787,7 @@ class ScanResult:
             "polish": self.polish,
             "expected_dim_Eminus": self.expected_dim,
             "n_points": self.n_points,
-            "n_rows": len(self.rows),
+            "n_rows": len(self._table),
             "failures": self.failures,
             "histogram": self.histogram,
             "diagnostics": {"n_fallback": self.n_fallback},
@@ -805,7 +811,8 @@ def _one_sided_problem(state, eos, d, M, tol_det) -> _ScanProblem:
     return _ScanProblem((_Side(state, eos, d, tol_det),), operator)
 
 
-# Rows per batched evaluation of the sweep.  `_evaluate`'s temporaries peak
+# Rows per batched evaluation of the sweep, and per formatted run of the CSV
+# writer (`cli.write_csv`).  `_evaluate`'s temporaries peak
 # (tracemalloc, 1024 rows) at about 1.3 KiB per row on a side with one left
 # vector (a fast shock, a dimension-7 inflow), 5.3 KiB on a dimension-1
 # outflow and 6.2 KiB on a slow shock (5 + 2), the worst measured side, so a
@@ -982,8 +989,8 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
                       "type": type(exc).__name__, "message": str(exc)}
                      for i, exc in errors.items()]
     ok = ~np.isnan(values)
-    rows = list(zip(*P[ok].T.tolist(), values[ok].tolist(),
-                    itertools.repeat(problem.expected_dim)))
+    dim = np.full(np.count_nonzero(ok), float(problem.expected_dim))
+    table = np.column_stack([P[ok], values[ok], dim])
     histogram = np.bincount(np.minimum((values[ok] * 20.0).astype(int), 19),
                             minlength=20).tolist()
     min_abs = argmin = None
@@ -1005,7 +1012,7 @@ def _scan(problem: _ScanProblem, grid, eps_cont: float,
         argmin=argmin,
         sweep_min_abs_D=sweep_min,
         sweep_argmin=sweep_argmin,
-        rows=rows,
+        _table=table,
         failures=failures,
         histogram=histogram,
         expected_dim=problem.expected_dim,
@@ -1287,7 +1294,9 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
     Newton iteration on the scaled jump conditions starts from the
     gas-dynamic seed (or from `seed_downstream` when continuing in a
     parameter); failure to converge or a Lax-count mismatch raises
-    NoAdmissibleShock.
+    NoAdmissibleShock.  A slow shock needs c_s < w_- < |a_d| upstream (a_d
+    = B_d / sqrt(rho)), that is 1 < mach < |a_d| / c_s; a mach above 1 and
+    outside that window raises NoAdmissibleShock before Newton.
     """
     if family not in _LAX_PATTERNS:
         raise NoAdmissibleShock(f"unknown Lax family {family!r}")
@@ -1318,6 +1327,14 @@ def rankine_hugoniot(eos: EquationOfState, upstream: ThermoState,
                            lax_family=family, eos=eos, residual=0.0,
                            lax_valid=lax_valid,
                            noncharacteristic=noncharacteristic)
+
+    if family == "slow" and not mach < abs(ws.a) / ws.c_s:
+        # the upstream Lax count 6 needs c_s < w_- < |a_d|: at w_- >= |a_d|
+        # the upstream speed w_- - |a_d| is not negative, so no shock of the
+        # slow pattern exists and Newton would only fail in one way or another
+        raise NoAdmissibleShock(
+            f"mach {mach} is outside the slow-shock window 1 < mach < |a_d| / c_s = "
+            f"{abs(ws.a) / ws.c_s:.17g} (c_s < w_- < |B_d| / sqrt(rho) upstream)")
 
     scales = _rh_scales(left_vec, eos, d)
     rows = _rh_rows(d)

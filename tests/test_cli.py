@@ -83,6 +83,63 @@ def test_write_csv_formats_every_value_as_the_per_type_reference(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+def _per_row_write_csv(path, header, rows):
+    """The reference writer: one "%.17g" line format applied row by row."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
+def _column(rng, n, kind):
+    """n values of one column: fresh draws on every row ("free"), runs whose
+    lengths go 1, 2, 3, ... ("runs"), one value throughout ("constant"), or
+    runs of integers below 2**53, Python ints and np.int64 ("ints")."""
+    special = [-0.0, 0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324,
+               -2.5e-310, 2.2250738585072014e-308, 1e300, 0.1 + 0.2, 1.0 / 3.0,
+               np.float64(-7.25), np.frombuffer(b"\x01\x00\x00\x00\x00\x00\xf8\x7f")[0]]
+
+    def draw():
+        if kind == "ints":
+            v = int(rng.integers(-2**53 + 1, 2**53))
+            return v if rng.random() < 0.5 else np.int64(v)
+        if rng.random() < 0.2:
+            return special[rng.integers(len(special))]
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-320, 300))
+
+    if kind == "free":
+        return [draw() for _ in range(n)]
+    if kind == "constant":
+        return [draw()] * n
+    out, length = [], 1
+    while len(out) < n:
+        out += [draw()] * length
+        length += 1
+    return out[:n]
+
+
+@pytest.mark.parametrize("n_rows, kinds", [
+    (0, ["free", "runs"]),
+    (1, ["free", "constant", "ints"]),
+    (2, ["runs"]),
+    (40, ["constant", "constant"]),
+    (300, ["free", "runs", "constant", "ints", "free"]),
+    (2500, ["runs", "free", "free", "ints", "free", "constant"]),
+    (1100, ["ints", "constant"] + ["free"] * 64),
+], ids=["empty", "one-row", "two-rows", "all-fixed", "mixed", "scan-shape", "symbols-shape"])
+def test_write_csv_is_byte_identical_to_the_per_row_reference(tmp_path, n_rows, kinds):
+    # seeded random tables with -0, nan of either sign and another payload,
+    # inf, subnormals, integers and runs of every length, some longer than a
+    # formatted run; "symbols-shape" has the 66 columns of symbols.csv
+    rng = np.random.default_rng(n_rows)
+    columns = [_column(rng, n_rows, kind) for kind in kinds]
+    rows = [list(row) for row in zip(*columns)]
+    header = [f"c{j}" for j in range(len(kinds))]
+    write_csv(tmp_path / "rows.csv", header, rows)
+    _per_row_write_csv(tmp_path / "ref.csv", header, rows)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 # ----------------------------------------------------------------------------
 # classify
 # ----------------------------------------------------------------------------

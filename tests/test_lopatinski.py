@@ -476,17 +476,68 @@ def test_slow_family_requires_normal_field(gas):
         rankine_hugoniot(gas, up, family="slow", mach=1.5, d=3)
 
 
-@pytest.mark.parametrize("B, mach, message", [
-    ([0.1, 0.0, 0.2], 1.1, "Newton converged to the trivial"),
-    ([0.1, 0.0, 1.0], 1.5, "violates the Lax slow-family pattern"),
-    ([0.1, 0.0, 1.5], 1.5, "Newton did not converge"),
+@pytest.mark.parametrize("B, mach", [
+    ([0.1, 0.0, 0.2], 1.1),
+    ([0.1, 0.0, 1.0], 1.5),
+    ([0.1, 0.0, 1.5], 1.5),
 ], ids=["trivial", "lax-violation", "no-convergence"])
-def test_slow_family_jump_solve_failures_raise(gas, B, mach, message):
+def test_slow_family_outside_the_window_raises_before_newton(gas, B, mach):
     # from the gas-dynamic seed, Newton on the slow-family jump conditions
-    # finds no shock, a shock of another Lax pattern, or nothing at all
+    # found no shock, a shock of another Lax pattern, or nothing at all
+    # (the ids); each mach lies above |a_d| / c_s, where no slow shock exists
     up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=B)
-    with pytest.raises(NoAdmissibleShock, match=message):
+    window = abs(B[2]) / wave_speeds(up, gas, unit_vector(3)).c_s
+    assert 1.0 < window < mach
+    with pytest.raises(NoAdmissibleShock, match="outside the slow-shock window"):
         rankine_hugoniot(gas, up, family="slow", mach=mach, d=3)
+
+
+# Of the probe grid below, the (B_x, B_z, mach) inside the slow window whose
+# slow shock builds; Newton converges to the trivial solution at the others
+_SLOW_PROBE_BUILDS = {
+    (0.0, 1.5, 1.05), (0.0, 1.5, 1.1), (0.2, 1.5, 1.1),
+    *((bx, 3.0, m) for bx in (0.0, 0.2, 0.5) for m in (1.05, 1.1, 1.3, 1.5, 2.0)),
+    (1.0, 3.0, 1.3), (1.0, 3.0, 1.5), (1.0, 3.0, 2.0)}
+
+
+def test_slow_family_window_on_a_probe_grid(gas):
+    # outside 1 < mach < |a_d| / c_s every case raises the window error before
+    # Newton; inside, each case keeps its outcome from before the window check
+    # (the mach-1.1 shock bit for bit); the fast family is not checked against
+    # the slow window, and its shocks on the grid build as before
+    n_inside = n_fast = 0
+    for bx, bz, mach in itertools.product((0.0, 0.2, 0.5, 1.0), (0.2, 1.0, 1.5, 3.0),
+                                          (1.05, 1.1, 1.3, 1.5, 2.0, 3.0)):
+        up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[bx, 0.0, bz])
+        if mach >= bz / wave_speeds(up, gas, unit_vector(3)).c_s:
+            with pytest.raises(NoAdmissibleShock, match="outside the slow-shock window"):
+                rankine_hugoniot(gas, up, family="slow", mach=mach, d=3)
+        elif (bx, bz, mach) in _SLOW_PROBE_BUILDS:
+            n_inside += 1
+            assert rankine_hugoniot(gas, up, family="slow", mach=mach, d=3).lax_valid
+        else:
+            n_inside += 1
+            with pytest.raises(NoAdmissibleShock, match="Newton converged to the trivial"):
+                rankine_hugoniot(gas, up, family="slow", mach=mach, d=3)
+        try:
+            n_fast += rankine_hugoniot(gas, up, family="fast", mach=mach, d=3).lax_valid
+        except NoAdmissibleShock as exc:
+            assert "window" not in str(exc)
+    assert (n_inside, n_fast) == (39, 76)
+
+    up = ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.2, 0.0, 1.5])
+    for family, mach, right, sigma in [
+            ("slow", 1.1, ["0x1.252b8910b858ep+0", "-0x1.6e04a9f6fcd9ap-4", "0x0.0p+0",
+                           "0x1.347631e2aa350p+0", "0x1.186d9057de3fep+0",
+                           "0x1.e27e299057106p-4", "0x0.0p+0", "0x1.8p+0"],
+             "-0x1.613fbc1a3416cp+0"),
+            ("fast", 2.0, ["0x1.40ad46d11d621p+1", "0x1.6e8420b9d201bp-2", "0x0.0p+0",
+                           "0x1.3b7c57863a457p+0", "0x1.42527ea57bddcp+1",
+                           "0x1.df990d01b3df8p-1", "0x0.0p+0", "0x1.8p+0"],
+             "-0x1.8b30f7b4a33a1p+1")]:
+        shock = rankine_hugoniot(gas, up, family=family, mach=mach, d=3)
+        assert shock.right.as_array().tolist() == [float.fromhex(h) for h in right]
+        assert shock.sigma == float.fromhex(sigma)
 
 
 def test_shock_round_trip(gas):
@@ -699,6 +750,57 @@ def test_scan_flags_unsigned_upstream_continuation(gas):
     reference = _shock_problem(sh, 1e-10)
     assert bad.rows == [(*row[:4], _point_abs_D(reference, _frequency(np.array(row[:4])), 1e-6),
                          row[5]) for row in good.rows if row[1] > 0.0]
+
+
+def _reference_rows(problem, P):
+    """Scan rows as lists of tuples, built as the scan built them before it
+    kept them as an array: the non-failed rows of P, then |D| and dim."""
+    values, _, _ = _evaluate(problem, _scan_kernel(problem.operator), P, 1e-6)
+    ok = ~np.isnan(values)
+    return list(zip(*P[ok].T.tolist(), values[ok].tolist(),
+                    itertools.repeat(problem.expected_dim)))
+
+
+def test_scan_rows_view_matches_the_tuple_list(gas):
+    # the rows view of a HemisphereGrid scan with no failures, and of an
+    # ExplicitGrid scan whose equator rows fail (the unsigned upstream
+    # continuation of test_scan_flags_unsigned_upstream_continuation): the
+    # same tuples of the same types, failed rows dropped, n_rows their count
+    zf0 = BoundaryFrequency(0.3, 0.5, [0.4, -0.1]).normalized()
+    side = _Side(SUBSONIC_STATE, gas, 3, 1e-10)
+    M = stable_subspace(side.G(zf0), zf0.gamma_L, a_d_inv=side.a_d_inv).conj().T
+    sweep = HemisphereGrid(2, 40, 2)
+    sh = rankine_hugoniot(gas, ThermoState(rho=1.0, u=[0, 0, 0], theta=1.0, B=[0.01, 0, 0]),
+                          family="fast", mach=2.0, d=3)
+    unsigned = _shock_problem(sh, 1e-10)
+    right, left = unsigned.sides
+    flipped = copy.copy(left)
+    flipped.G, flipped.a_d_inv = left.G, -left.a_d_inv
+    flipped.damping, flipped.closed_form = 0.0, False
+    unsigned.sides = (right, flipped)
+    grid = _mixed_grid(30, 62)
+    cases = [(_one_sided_problem(SUBSONIC_STATE, gas, 3, M, 1e-10), sweep),
+             (unsigned, grid)]
+    for problem, points in cases:
+        res = _scan(problem, points, 1e-6, polish_rounds=2)
+        want = _reference_rows(problem, points._rows())
+        assert res.rows == want and len(want) == points.n_points - len(res.failures)
+        assert [tuple(map(type, row)) for row in res.rows] == [
+            tuple(map(type, row)) for row in want] == [(float,) * 5 + (int,)] * len(want)
+        summary = res.summary()
+        assert summary["n_rows"] == len(want)
+        assert list(summary) == ["min_abs_D", "argmin", "sweep_min_abs_D", "sweep_argmin",
+                                 "grid", "polish", "expected_dim_Eminus", "n_points",
+                                 "n_rows", "failures", "histogram", "diagnostics"]
+    assert len(res.failures) == 10
+
+
+def test_all_failed_scan_writes_the_header_only(gas, tmp_path):
+    M = np.random.default_rng(79).standard_normal((6, 8))
+    res = uniform_scan(SUBSONIC_STATE, gas, 3, M, HemisphereGrid(1, 10, 1), polish_rounds=2)
+    assert res.rows == [] and res.summary()["n_rows"] == 0
+    res.write_csv(tmp_path / "scan.csv")
+    assert (tmp_path / "scan.csv").read_bytes() == b"tau,gamma_L,eta1,eta2,abs_D,dim_Eminus\n"
 
 
 def test_shock_scan_invariant_under_axis_relabelling(gas):

@@ -1,6 +1,6 @@
 """tools/compare_outputs.py reports identical files, numeric movement per
 field and every other difference; tools/stage_times.py times every stage
-of the batched scan."""
+of the batched scan and the scan's CSV writer."""
 
 import json
 import os
@@ -56,8 +56,13 @@ def test_stage_times_prints_every_stage_of_every_input():
                          capture_output=True, text=True, env=env)
     assert run.returncode == 0, run.stderr
     header, *lines = run.stdout.splitlines()
+    lines, writes = lines[:6], lines[6:]
     assert header.split()[:8] == ["input", "N", "evaluate", "roots", "complement",
                                   "certificate", "kernel", "abs_det"]
+    # then ScanResult.write_csv, per row, at the two grids of the scan benchmark
+    assert writes[0].split() == ["write_csv", "rows", "us/row"]
+    assert [line.split()[:2] for line in writes[1:]] == [["inflow", "1000"], ["inflow", "3200"]]
+    assert all(float(line.split()[2]) > 0.0 for line in writes[1:])
     assert [line.rsplit(None, 7)[0] for line in lines] == [
         "shock |B|=0.01", "shock |B|=0.01", "shock B=0", "shock B=0", "inflow", "inflow"]
     for line, n in zip(lines, [1, 3] * 3):

@@ -1,4 +1,4 @@
-"""Microseconds per call of the batched scan's stages.
+"""Microseconds per call of the batched scan's stages, and per row of its CSV.
 
     PYTHONPATH=src python tools/stage_times.py [--repeat 30] [--sizes 1 124 1024]
 
@@ -10,16 +10,21 @@ The inputs are the Mach-2 ideal-gas fast shock at |B| = 0.01 and at B =
 0, as in the small-field study, and the subsonic inflow of
 configs/scan_boundary.json with its frozen-complement operator.  The N
 rows are spread evenly over a hemisphere grid whose last quarter is the
-equator, so continuation rows are among them.  BLAS is pinned to one
-thread unless the environment already sets it.  Standard library and
-numpy only.
+equator, so continuation rows are among them.  Then, for the inflow
+scanned on the grids of the scan benchmark (`scan --refine 2` on a
+HemisphereGrid(6, 100, 4): 1000 and 3200 rows), prints the least of
+`--repeat` calls of `ScanResult.write_csv`, in microseconds per row.
+BLAS is pinned to one thread unless the environment already sets it.
+Standard library and numpy only.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import tempfile
 import timeit
+from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
@@ -33,6 +38,7 @@ from mhdstab.lopatinski import (  # noqa: E402
     _abs_det,
     _evaluate,
     _one_sided_problem,
+    _scan,
     _scan_kernel,
     _shock_problem,
     assemble_G,
@@ -44,6 +50,7 @@ from mhdstab.thermo import IdealGas, ThermoState  # noqa: E402
 GAS = IdealGas(R=1.0, c_v=1.5)
 EPS_CONT = 1e-6
 STAGES = ("evaluate", "roots", "complement", "certificate", "kernel", "abs_det")
+WRITE_GRID = HemisphereGrid(6, 100, 4)  # the scan benchmark's grid, also refined x2
 
 
 def problems() -> dict:
@@ -95,12 +102,21 @@ def main(argv=None) -> int:
     if args.repeat < 1 or min(args.sizes) < 1:
         p.error("--repeat and --sizes must be >= 1")
     print(f"{'input':<16}{'N':>6}" + "".join(f"{s:>13}" for s in STAGES) + "   (us per call)")
-    for label, problem in problems().items():
+    scan_problems = problems()
+    for label, problem in scan_problems.items():
         for n in args.sizes:
             calls = stage_calls(problem, rows(n))
             us = [1e6 * min(timeit.repeat(calls[s], number=1, repeat=args.repeat))
                   for s in STAGES]
             print(f"{label:<16}{n:>6}" + "".join(f"{t:>13.1f}" for t in us))
+    print(f"{'write_csv':<16}{'rows':>6}{'us/row':>13}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scan.csv"
+        for grid in (WRITE_GRID, WRITE_GRID.refined(2)):
+            res = _scan(scan_problems["inflow"], grid, EPS_CONT, polish_rounds=0)
+            n = len(res.rows)
+            t = min(timeit.repeat(lambda: res.write_csv(path), number=1, repeat=args.repeat))
+            print(f"{'inflow':<16}{n:>6}{1e6 * t / n:>13.2f}")
     return 0
 
 
